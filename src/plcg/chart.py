@@ -70,21 +70,10 @@ def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
     )
 
 
-# Keyed by id() but holding the model itself: the strong reference keeps
-# the id from being recycled while the entry is alive.
-_COMPILE_CACHE: dict[int, tuple[PcfgModel, CompiledPcfg]] = {}
-
-
 def _compiled(model: PcfgModel) -> CompiledPcfg:
-    key = id(model)
-    hit = _COMPILE_CACHE.get(key)
-    if hit is not None and hit[0] is model:
-        return hit[1]
-    if len(_COMPILE_CACHE) > 64:
-        _COMPILE_CACHE.clear()
-    compiled = compile_pcfg(model)
-    _COMPILE_CACHE[key] = (model, compiled)
-    return compiled
+    if model.compiled is None:
+        model.compiled = compile_pcfg(model)
+    return model.compiled
 
 
 def _term_ids(tags: Sequence[str], g: CompiledPcfg) -> Optional[np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Any, Iterable
 
 NEG_INF = float("-inf")
 
@@ -35,6 +35,8 @@ class PcfgModel:
 
     counts: dict[Rule, int]
     start: str
+    # Chart form, built by chart.compile_pcfg on first use.
+    compiled: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._lhs_totals: dict[str, int] = {}
@@ -113,6 +115,8 @@ class PlcgModel:
     proj_counts: dict[tuple[str, str], dict[Rule, int]]
     start: str
     lc_closure: dict[str, frozenset[str]] = field(default_factory=dict)
+    # Move tables per decision point, built by lc_parser on first use.
+    move_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.lc_closure:
@@ -180,6 +184,8 @@ class DeltaModel:
     delta_counts: dict[tuple[int, str, str], dict[int, int]]
     rule_counts: dict[tuple[str, str, int, int], dict[Rule, int]]
     base: PlcgModel
+    # Move tables per decision point, built by lc_parser on first use.
+    move_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def start(self) -> str:

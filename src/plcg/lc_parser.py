@@ -1,25 +1,29 @@
 """Probabilistic left-corner beam parser over tag sequences.
 
-The parser keeps one beam per word boundary: all states that have consumed
-i words compete, attach/project moves are expanded to a fixpoint within the
-boundary, and the k best states survive to shift the next tag.  Move lists
-are held in a prefix-sharing store so states are cheap to branch.
-
-Variants:
+One stack machine serves every variant.  At each decision point (a found
+corner on top, its goal beneath) it reads the model's move table: one
+(move, entries popped, entries pushed, log-prob) per successor, built on
+first use and kept on the model.  The variants differ only in the tables:
   base    - attach decided when a completed corner sits on its goal.
   compose - attach decided at projection time (bounded stack on pure
             left/right branching input).
-  delta   - compose machine scored by the stack-size conditioned model.
+  delta   - compose machine scored by the stack-size conditioned model,
+            with tables keyed by stack depth as well.
+
+One beam per word boundary: states that have consumed i words compete,
+attach/project moves are expanded to a fixpoint within the boundary, and
+the k best states shift the next tag.  Move lists are held in a
+prefix-sharing store so states are cheap to branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .derivation import LcMove, replay
-from .grammar_types import ATTACH_RULE, NEG_INF, DeltaModel, PlcgModel
+from .grammar_types import ATTACH_RULE, DeltaModel, PlcgModel
 from .transforms import debinarize_tree, is_binarized_symbol
 from .treebank import Tree, write_tree
 
@@ -61,8 +65,6 @@ class ParserState:
     stack: tuple
     moves: int  # handle into the shared MoveStore
     log_prob: float
-    consumed: int
-    max_stack: int
 
     @property
     def complete(self) -> bool:
@@ -74,18 +76,81 @@ class ParserState:
 
 
 def initial_state(start: str) -> ParserState:
-    return ParserState(((SOUGHT, start),), MoveStore.ROOT, 0.0, 0, 1)
+    return ParserState(((SOUGHT, start),), MoveStore.ROOT, 0.0)
 
 
-def _push(state: ParserState, store: MoveStore, move: LcMove,
-          stack: tuple, lp_inc: float, consumed: int) -> ParserState:
-    return ParserState(
-        stack=stack,
-        moves=store.append(state.moves, move),
-        log_prob=state.log_prob + lp_inc,
-        consumed=consumed,
-        max_stack=max(state.max_stack, len(stack)),
-    )
+_ATTACH = LcMove.attach()
+
+
+def _project(rule, compose: bool, spent: bool, lp: float) -> tuple:
+    """Table entry projecting ``rule`` from the corner on top: onto the goal
+    beneath when composing, else as a found corner."""
+    soughts = tuple((SOUGHT, sym) for sym in reversed(rule.rhs[1:]))
+    if compose:
+        return (LcMove.project(rule, compose=True), 2, soughts, lp)
+    return (LcMove.project(rule), 1, ((FOUND, rule.lhs, spent),) + soughts, lp)
+
+
+def _lc_moves(model: PlcgModel, compose: bool, lc: str, gc: str, spent: bool) -> list:
+    """Base and compose moves at (lc, gc): the attach complement folded into
+    every projection; under compose, a projection onto the goal splits on
+    the attach decision the base machine would take once it completes."""
+    out = []
+    p_att = 0.0 if spent else model.p_att(lc, gc)
+    if p_att > 0.0:
+        out.append((_ATTACH, 2, (), math.log(p_att)))
+    for rule, p_rule in model.projections(lc, gc).items():
+        if not model.is_possible_corner(rule.lhs, gc):
+            continue
+        p = (1.0 - p_att) * p_rule
+        if p == 0.0:
+            continue
+        if compose and rule.lhs == gc:
+            p_att_new = model.p_att(rule.lhs, gc)
+            if p_att_new > 0.0:
+                out.append(_project(rule, True, True, math.log(p * p_att_new)))
+            if p_att_new < 1.0:
+                out.append(_project(rule, False, True, math.log(p * (1.0 - p_att_new))))
+        else:
+            out.append(_project(rule, False, False, math.log(p)))
+    return out
+
+
+def _delta_moves(model: DeltaModel, lc: str, gc: str, depth: int) -> list:
+    """Composed-machine moves at (lc, gc) over ``depth`` entries, scored
+    P(delta | depth, lc, gc) * P(rule | lc, gc, depth, delta); deltas -2 and
+    -1 attach at projection time."""
+    out = []
+    for delta, p_delta in model.delta_dist(depth, lc, gc).items():
+        for rule, p_rule in model.rule_dist(lc, gc, depth, delta).items():
+            p = p_delta * p_rule
+            if p == 0.0:
+                continue
+            composed = delta in (-2, -1)
+            if rule == ATTACH_RULE:
+                out.append((_ATTACH, 2, (), math.log(p)))
+            elif not composed or rule.lhs == gc:
+                out.append(_project(rule, composed, True, math.log(p)))
+    return out
+
+
+def _compile_moves(model: PlcgModel | DeltaModel, variant: str, lc: str, gc: str, ctx) -> list:
+    """One decision point's table; base and compose read a delta model's base."""
+    if variant == "delta":
+        return _delta_moves(model, lc, gc, ctx)
+    base = model.base if isinstance(model, DeltaModel) else model
+    return _lc_moves(base, variant == "compose", lc, gc, ctx)
+
+
+def _shift_table(model: PlcgModel, gc: str) -> dict:
+    """Shift move and log-prob per terminal under goal ``gc``."""
+    key = ("shift", gc)
+    table = model.move_tables.get(key)
+    if table is None:
+        table = model.move_tables[key] = {
+            lc: (LcMove.shift(lc), math.log(p)) for lc, p in model.shift_dist(gc).items() if p
+        }
+    return table
 
 
 def shift_successor(
@@ -93,86 +158,35 @@ def shift_successor(
 ) -> Optional[ParserState]:
     """The single forced shift when a sought category is exposed."""
     base = model.base if isinstance(model, DeltaModel) else model
-    gc = state.stack[-1][1]
-    p = base.p_shift(tag, gc)
-    if p == 0.0:
+    entry = _shift_table(base, state.stack[-1][1]).get(tag)
+    if entry is None:
         return None
-    stack = state.stack + ((FOUND, tag, False),)
-    return _push(state, store, LcMove.shift(tag), stack, math.log(p), state.consumed + 1)
+    move, lp = entry
+    return ParserState(state.stack + ((FOUND, tag, False),),
+                       store.append(state.moves, move), state.log_prob + lp)
 
 
 def successors(
     state: ParserState, model: PlcgModel | DeltaModel, store: MoveStore, variant: str = "base"
-) -> Iterator[ParserState]:
+) -> list[ParserState]:
     """Attach/project successors of a state whose top is a found corner.
 
     Probability increments over all successors sum to one at any context
     seen in training."""
-    if state.needs_shift or state.complete:
-        return
-    if variant == "delta":
-        yield from _delta_successors(state, model, store)
-        return
-    _, lc, spent = state.stack[-1]
-    gc = state.stack[-2][1]
-    p_att = 0.0 if spent else model.p_att(lc, gc)
-    if p_att > 0.0:
-        stack = state.stack[:-2]
-        yield _push(state, store, LcMove.attach(), stack, math.log(p_att), state.consumed)
-    for rule, p_rule in model.projections(lc, gc).items():
-        if not model.is_possible_corner(rule.lhs, gc):
-            continue
-        p = (1.0 - p_att) * p_rule
-        if p == 0.0:
-            continue
-        soughts = tuple((SOUGHT, sym) for sym in reversed(rule.rhs[1:]))
-        if variant == "compose" and rule.lhs == gc:
-            # Decide the attachment now, with the same conditioning the base
-            # variant would use once the constituent completes.
-            p_att_new = model.p_att(rule.lhs, gc)
-            if p_att_new > 0.0:
-                stack = state.stack[:-2] + soughts
-                yield _push(
-                    state, store, LcMove.project(rule, compose=True), stack,
-                    math.log(p * p_att_new), state.consumed,
-                )
-            if p_att_new < 1.0:
-                stack = state.stack[:-1] + ((FOUND, rule.lhs, True),) + soughts
-                yield _push(
-                    state, store, LcMove.project(rule), stack,
-                    math.log(p * (1.0 - p_att_new)), state.consumed,
-                )
-        else:
-            stack = state.stack[:-1] + ((FOUND, rule.lhs, False),) + soughts
-            yield _push(state, store, LcMove.project(rule), stack, math.log(p), state.consumed)
-
-
-def _delta_successors(
-    state: ParserState, model: DeltaModel, store: MoveStore
-) -> Iterator[ParserState]:
-    _, lc, _ = state.stack[-1]
-    gc = state.stack[-2][1]
-    depth = len(state.stack) - 1
-    for delta, p_delta in model.delta_dist(depth, lc, gc).items():
-        for rule, p_rule in model.rule_dist(lc, gc, depth, delta).items():
-            p = p_delta * p_rule
-            if p == 0.0:
-                continue
-            if rule == ATTACH_RULE:
-                stack = state.stack[:-2]
-                yield _push(state, store, LcMove.attach(), stack, math.log(p), state.consumed)
-                continue
-            attach = delta in (-2, -1)
-            soughts = tuple((SOUGHT, sym) for sym in reversed(rule.rhs[1:]))
-            if attach:
-                if rule.lhs != gc:
-                    continue
-                stack = state.stack[:-2] + soughts
-                move = LcMove.project(rule, compose=True)
-            else:
-                stack = state.stack[:-1] + ((FOUND, rule.lhs, True),) + soughts
-                move = LcMove.project(rule)
-            yield _push(state, store, move, stack, math.log(p), state.consumed)
+    stack = state.stack
+    if not stack or stack[-1][0] == SOUGHT:
+        return []
+    # The decision point: spent flag for base/compose, stack depth for delta.
+    _, lc, spent = stack[-1]
+    gc = stack[-2][1]
+    key = (variant, lc, gc, len(stack) - 1 if variant == "delta" else spent)
+    table = model.move_tables.get(key)
+    if table is None:
+        table = model.move_tables[key] = _compile_moves(model, variant, lc, gc, key[3])
+    return [
+        ParserState(stack[:-pop] + push, store.append(state.moves, move), state.log_prob + lp)
+        for move, pop, push, lp in table
+    ]
 
 
 def _closure(
@@ -203,6 +217,34 @@ class IncompleteDerivationError(ValueError):
     pass
 
 
+def _rank(state: ParserState) -> tuple:
+    return (-state.log_prob, state.moves)
+
+
+def _complete_states(
+    tags: Sequence[str], model, store: MoveStore, variant: str, max_nonshift: int,
+    k: Optional[int] = None, state_limit: Optional[int] = None,
+) -> list[ParserState]:
+    """Complete states over ``tags``, best first.  With ``k``, only the ``k``
+    best states of each word boundary's closure go on to the shift."""
+    if not tags:
+        raise ValueError("empty tag sequence")
+    if variant == "delta" and not isinstance(model, DeltaModel):
+        raise TypeError("delta variant needs a DeltaModel")
+    beam = [initial_state(model.start)]
+    for tag in tags:
+        pool = _closure(beam, model, store, variant, max_nonshift, state_limit)
+        if k is not None:
+            pool.sort(key=_rank)
+            del pool[k:]
+        shifted = (shift_successor(st, tag, model, store) for st in pool if st.needs_shift)
+        beam = [st for st in shifted if st is not None]
+        if not beam:
+            return []
+    final = _closure(beam, model, store, variant, max_nonshift, state_limit)
+    return sorted((st for st in final if st.complete), key=_rank)
+
+
 def beam_parse(
     tags: Sequence[str],
     model: PlcgModel | DeltaModel,
@@ -215,46 +257,20 @@ def beam_parse(
     unless ``k`` exceeds the number of reachable states."""
     if k < 1 or n_best < 1:
         raise ValueError("k and n_best must be >= 1")
-    if not tags:
-        raise ValueError("empty tag sequence")
     store = MoveStore()
-    if variant == "delta" and not isinstance(model, DeltaModel):
-        raise TypeError("delta variant needs a DeltaModel")
-    beam = [initial_state(model.start)]
-    for i, tag in enumerate(tags):
-        pool = _closure(beam, model, store, variant, max_nonshift)
-        pool.sort(key=lambda s: (-s.log_prob, s.moves))
-        pool = pool[:k]
-        beam = []
-        for st in pool:
-            if st.needs_shift:
-                shifted = shift_successor(st, tag, model, store)
-                if shifted is not None:
-                    beam.append(shifted)
-        if not beam:
-            return []
-    final = _closure(beam, model, store, variant, max_nonshift)
-    complete = [st for st in final if st.complete]
-    complete.sort(key=lambda s: (-s.log_prob, s.moves))
-    return _n_best_trees(complete, model, store, n_best)
-
-
-def _n_best_trees(
-    complete: list[ParserState], model, store: MoveStore, n_best: int
-) -> list[tuple[Tree, float]]:
+    complete = _complete_states(tags, model, store, variant, max_nonshift, k=k)
     # Distinct derivations of one tree only arise through binarization;
     # after debinarizing, keep the best score per tree.
     out: list[tuple[Tree, float]] = []
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     for st in complete:
         tree = recover_tree(st.moves, model.start, store)
         key = write_tree(tree)
-        if key in seen:
-            continue
-        seen[key] = len(out)
-        out.append((tree, st.log_prob))
-        if len(out) == n_best:
-            break
+        if key not in seen:
+            seen.add(key)
+            out.append((tree, st.log_prob))
+            if len(out) == n_best:
+                break
     return out
 
 
@@ -268,23 +284,9 @@ def exhaustive_lc_parse(
     """Every complete derivation with its probability; oracle for small
     fixtures.  Each tree of the model appears through exactly one
     derivation (before binarization)."""
-    if not tags:
-        raise ValueError("empty tag sequence")
     store = MoveStore()
-    beam = [initial_state(model.start)]
-    for tag in tags:
-        pool = _closure(beam, model, store, variant, max_nonshift, state_limit)
-        beam = []
-        for st in pool:
-            if st.needs_shift:
-                shifted = shift_successor(st, tag, model, store)
-                if shifted is not None:
-                    beam.append(shifted)
-        if not beam:
-            return []
-    final = _closure(beam, model, store, variant, max_nonshift, state_limit)
-    complete = [st for st in final if st.complete]
-    complete.sort(key=lambda s: (-s.log_prob, s.moves))
+    complete = _complete_states(tags, model, store, variant, max_nonshift,
+                                state_limit=state_limit)
     return [(recover_tree(st.moves, model.start, store), st.log_prob) for st in complete]
 
 
@@ -296,12 +298,7 @@ def recover_tree(handle: int, start: str, store: MoveStore) -> Tree:
         tree = replay(moves, start)
     except Exception as exc:
         raise IncompleteDerivationError(str(exc)) from exc
-    if any(
-        mv.rule is not None and is_binarized_symbol(mv.rule.lhs) for mv in moves
-    ):
+    if any(mv.rule is not None and is_binarized_symbol(mv.rule.lhs) for mv in moves):
         tree = debinarize_tree(tree)
     return tree
 
-
-def best_log_prob(results: list[tuple[Tree, float]]) -> float:
-    return results[0][1] if results else NEG_INF
