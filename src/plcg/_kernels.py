@@ -2,8 +2,7 @@
 
 The hot loops live here in a numba-friendly, arrays-only form.  When numba
 is installed they are JIT-compiled; setting ``PLCG_DISABLE_NUMBA=1`` (or
-running without numba) selects the pure-Python/numpy fallback.  Both paths
-compute identical results; ``benchmarks/bench_chart.py`` compares them.
+running without numba) selects the same functions run as pure Python.
 """
 
 from __future__ import annotations
@@ -121,20 +120,13 @@ def _inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                 inside[i, j, s] = cur[s]
 
 
-viterbi_fill_py = _viterbi_fill
-inside_fill_py = _inside_fill
-
-USE_NUMBA = False
+viterbi_fill = _viterbi_fill
+inside_fill = _inside_fill
 if os.environ.get("PLCG_DISABLE_NUMBA", "") not in ("1", "true", "yes"):
     try:
         import numba
 
         viterbi_fill = numba.njit(cache=True)(_viterbi_fill)
         inside_fill = numba.njit(cache=True)(_inside_fill)
-        USE_NUMBA = True
     except ImportError:
-        viterbi_fill = viterbi_fill_py
-        inside_fill = inside_fill_py
-else:
-    viterbi_fill = viterbi_fill_py
-    inside_fill = inside_fill_py
+        pass

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -160,18 +159,9 @@ def cmd_parse(args) -> int:
     model = load_model(args.model)
     _resolve_engine(args, model)
     sentences = _read_tag_file(args.tags)
-
-    def work(tags: list[str]) -> list[tuple[Tree, float]]:
-        return _parse_sentence(tags, model, args)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, sentences))
-    else:
-        results = [work(s) for s in sentences]
-
     parsed, log_probs = 0, []
-    for parses in results:
+    for tags in sentences:
+        parses = _parse_sentence(tags, model, args)
         if not parses:
             print(NO_PARSE)
             continue
@@ -296,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="left-corner machine variant (default: by model kind)")
     p.add_argument("--beam", type=int, default=100, metavar="K", help="beam width")
     p.add_argument("--n-best", type=int, default=1, metavar="N")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="bracket-score a test file against gold")
@@ -325,8 +314,6 @@ def _validate(args) -> None:
         raise UsageError("--beam must be >= 1")
     if getattr(args, "n_best", 1) < 1:
         raise UsageError("--n-best must be >= 1")
-    if getattr(args, "threads", 1) < 1:
-        raise UsageError("--threads must be >= 1")
     if getattr(args, "size", 1) < 1:
         raise UsageError("--size must be >= 1")
     ml = getattr(args, "max_length", None)

@@ -272,20 +272,6 @@ def read_tree(text: str) -> Tree:
     return ts[0]
 
 
-def tree_depth(t: Tree) -> int:
-    if t.is_leaf:
-        return 0
-    return 1 + max(tree_depth(c) for c in t.children)
-
-
-def sentence_length(t: Tree) -> int:
-    return len(leaves(t))
-
-
-def yields_equal(a: Tree, b: Tree) -> bool:
-    return leaves(a) == leaves(b)
-
-
 def iter_local_trees(t: Tree) -> Iterator[tuple[str, tuple[str, ...]]]:
     """(mother, child labels) for every non-leaf node, top-down."""
     if t.is_leaf:

@@ -131,14 +131,17 @@ class TestParse:
             assert tree_text == write_tree(expect[0][0])
             assert math.isclose(float(lp_text), expect[0][1], abs_tol=5e-7)
 
-    def test_threads_preserve_order(self, workspace, capsys):
-        model = self.induce(workspace, capsys)
-        code, serial, _ = run(capsys, ["parse", str(model), str(workspace / "tags.txt")])
-        assert code == 0
-        code, threaded, _ = run(
-            capsys, ["parse", str(model), str(workspace / "tags.txt"), "--threads", "4"]
-        )
-        assert code == 0 and serial == threaded
+    def test_delta_model_runs_base_and_compose(self, workspace, capsys):
+        # Those variants read the delta model's PLCG tables, which are the
+        # ones `induce --model plcg --binarize` estimates.
+        delta = self.induce(workspace, capsys, "delta", ["--binarize"])
+        plcg = self.induce(workspace, capsys, "plcg", ["--binarize"])
+        tags = str(workspace / "tags.txt")
+        for variant in ("base", "compose"):
+            code, from_delta, _ = run(capsys, ["parse", str(delta), tags, "--variant", variant])
+            assert code == 0 and "\t" in from_delta
+            code, from_plcg, _ = run(capsys, ["parse", str(plcg), tags, "--variant", variant])
+            assert code == 0 and from_delta == from_plcg
 
     def test_uncovered_tag_gives_noparse(self, workspace, capsys):
         model = self.induce(workspace, capsys)

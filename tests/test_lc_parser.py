@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import t
+from plcg.corpus import generate_corpus
 from plcg.induction import (
     delta_tree_log_prob,
     induce_delta_model,
@@ -11,7 +12,10 @@ from plcg.induction import (
     plcg_tree_log_prob,
 )
 from plcg.lc_parser import (
+    FOUND,
+    SOUGHT,
     MoveStore,
+    ParserState,
     beam_parse,
     exhaustive_lc_parse,
     initial_state,
@@ -20,7 +24,7 @@ from plcg.lc_parser import (
 )
 from plcg.derivation import LcMove
 from plcg.transforms import binarize_corpus
-from plcg.treebank import leaves
+from plcg.treebank import PreprocessOptions, leaves, preprocess_corpus, to_pos_tree
 
 
 @pytest.fixture
@@ -85,6 +89,27 @@ class TestSuccessors:
         assert total == pytest.approx(1.0)
         probs = sorted(math.exp(st.log_prob - state.log_prob) for st in branches)
         assert probs == pytest.approx([0.25, 0.75])
+
+        # Every decision point seen in training, for every variant.
+        trees, _ = preprocess_corpus(generate_corpus(500, seed=7), PreprocessOptions())
+        trees = [to_pos_tree(tree) for tree in trees]
+        plcg = induce_plcg(trees)
+        delta = induce_delta_model(binarize_corpus(trees))
+        points = [("base", plcg, ((SOUGHT, gc), (FOUND, lc, False)))
+                  for lc, gc in plcg.att_counts]
+        points += [("compose", plcg, stack) for _, _, stack in points]
+        # A spent corner is one composed projection left on its own goal.
+        points += [("compose", plcg, ((SOUGHT, gc), (FOUND, lc, True)))
+                   for lc, gc in plcg.proj_counts if lc == gc]
+        points += [("delta", delta, ((SOUGHT, "X"),) * (depth - 1)
+                    + ((SOUGHT, gc), (FOUND, lc, True)))
+                   for depth, lc, gc in delta.delta_counts]
+        assert {variant for variant, _, _ in points} == {"base", "compose", "delta"}
+        for variant, model, stack in points:
+            state = ParserState(stack, MoveStore.ROOT, 0.0)
+            branches = successors(state, model, MoveStore(), variant)
+            total = math.fsum(math.exp(st.log_prob) for st in branches)
+            assert total == pytest.approx(1.0), (variant, stack)
 
 
 class TestExhaustive:
