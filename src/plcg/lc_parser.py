@@ -19,8 +19,7 @@ prefix-sharing store so states are cheap to branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .derivation import LcMove, replay
 from .grammar_types import ATTACH_RULE, DeltaModel, PlcgModel
@@ -60,8 +59,7 @@ class MoveStore:
 SOUGHT, FOUND = "s", "f"
 
 
-@dataclass(frozen=True)
-class ParserState:
+class ParserState(NamedTuple):
     stack: tuple
     moves: int  # handle into the shared MoveStore
     log_prob: float
@@ -142,14 +140,16 @@ def _compile_moves(model: PlcgModel | DeltaModel, variant: str, lc: str, gc: str
     return _lc_moves(base, variant == "compose", lc, gc, ctx)
 
 
-def _shift_table(model: PlcgModel, gc: str) -> dict:
-    """Shift move and log-prob per terminal under goal ``gc``."""
-    key = ("shift", gc)
+def _shift_table(model: PlcgModel, tag: str) -> dict:
+    """Shift move and log-prob of ``tag`` per sought entry that can take it."""
+    key = ("shift", tag)
     table = model.move_tables.get(key)
     if table is None:
-        table = model.move_tables[key] = {
-            lc: (LcMove.shift(lc), math.log(p)) for lc, p in model.shift_dist(gc).items() if p
-        }
+        table = model.move_tables[key] = {}
+        for gc in model.shift_counts:
+            p = model.p_shift(tag, gc)
+            if p:
+                table[(SOUGHT, gc)] = (LcMove.shift(tag), math.log(p))
     return table
 
 
@@ -158,7 +158,7 @@ def shift_successor(
 ) -> Optional[ParserState]:
     """The single forced shift when a sought category is exposed."""
     base = model.base if isinstance(model, DeltaModel) else model
-    entry = _shift_table(base, state.stack[-1][1]).get(tag)
+    entry = _shift_table(base, tag).get(state.stack[-1])
     if entry is None:
         return None
     move, lp = entry
@@ -183,10 +183,9 @@ def successors(
     table = model.move_tables.get(key)
     if table is None:
         table = model.move_tables[key] = _compile_moves(model, variant, lc, gc, key[3])
-    return [
-        ParserState(stack[:-pop] + push, store.append(state.moves, move), state.log_prob + lp)
-        for move, pop, push, lp in table
-    ]
+    handle, log_prob, append = state.moves, state.log_prob, store.append
+    return [ParserState(stack[:-pop] + push, append(handle, move), log_prob + lp)
+            for move, pop, push, lp in table]
 
 
 def _closure(
@@ -200,7 +199,8 @@ def _closure(
     while frontier and rounds < max_nonshift:
         nxt: list[ParserState] = []
         for st in frontier:
-            nxt.extend(successors(st, model, store, variant))
+            if st.stack and st.stack[-1][0] == FOUND:
+                nxt.extend(successors(st, model, store, variant))
         out.extend(nxt)
         if state_limit is not None and len(out) > state_limit:
             raise TooManyDerivationsError("state count exceeded %d" % state_limit)
@@ -231,14 +231,16 @@ def _complete_states(
         raise ValueError("empty tag sequence")
     if variant == "delta" and not isinstance(model, DeltaModel):
         raise TypeError("delta variant needs a DeltaModel")
+    base = model.base if isinstance(model, DeltaModel) else model
     beam = [initial_state(model.start)]
     for tag in tags:
         pool = _closure(beam, model, store, variant, max_nonshift, state_limit)
         if k is not None:
             pool.sort(key=_rank)
             del pool[k:]
-        shifted = (shift_successor(st, tag, model, store) for st in pool if st.needs_shift)
-        beam = [st for st in shifted if st is not None]
+        shifts = _shift_table(base, tag)
+        beam = [shift_successor(st, tag, model, store)
+                for st in pool if st.stack and st.stack[-1] in shifts]
         if not beam:
             return []
     final = _closure(beam, model, store, variant, max_nonshift, state_limit)
