@@ -226,7 +226,7 @@ def _complete_states(
     k: Optional[int] = None, state_limit: Optional[int] = None,
 ) -> list[ParserState]:
     """Complete states over ``tags``, best first.  With ``k``, only the ``k``
-    best states of each word boundary's closure go on to the shift."""
+    best states that can shift the next tag survive each word boundary."""
     if not tags:
         raise ValueError("empty tag sequence")
     if variant == "delta" and not isinstance(model, DeltaModel):
@@ -235,12 +235,12 @@ def _complete_states(
     beam = [initial_state(model.start)]
     for tag in tags:
         pool = _closure(beam, model, store, variant, max_nonshift, state_limit)
+        shifts = _shift_table(base, tag)
+        pool = [st for st in pool if st.stack and st.stack[-1] in shifts]
         if k is not None:
             pool.sort(key=_rank)
             del pool[k:]
-        shifts = _shift_table(base, tag)
-        beam = [shift_successor(st, tag, model, store)
-                for st in pool if st.stack and st.stack[-1] in shifts]
+        beam = [shift_successor(st, tag, model, store) for st in pool]
         if not beam:
             return []
     final = _closure(beam, model, store, variant, max_nonshift, state_limit)

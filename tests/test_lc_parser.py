@@ -170,6 +170,16 @@ class TestBeam:
         trees = [tree for tree, _ in parses]
         assert len(set(trees)) == len(trees)
 
+    def test_slots_go_to_states_that_can_shift(self):
+        # The 120 states holding a projected Xi outrank every state seeking
+        # C; a beam that truncated before dropping them lost every parse.
+        model = induce_plcg([t("(S (X%d A) C)" % i) for i in range(120)])
+        exact = exhaustive_lc_parse(["A", "C"], model)
+        assert len(exact) == 120
+        best = beam_parse(["A", "C"], model, k=100)
+        assert best and best[0][0] == exact[0][0]
+        assert best[0][1] == pytest.approx(exact[0][1])
+
     def test_invalid_arguments(self, nested_model):
         with pytest.raises(ValueError):
             beam_parse([], nested_model, k=1)
