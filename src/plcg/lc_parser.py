@@ -12,8 +12,8 @@ first use and kept on the model.  The variants differ only in the tables:
 
 One beam per word boundary: states that have consumed i words compete,
 attach/project moves are expanded to a fixpoint within the boundary, and
-the k best states shift the next tag.  Move lists are held in a
-prefix-sharing store so states are cheap to branch.
+the k best states that can shift the next tag shift it.  Move lists are
+held in a prefix-sharing store so states are cheap to branch.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ class TestSuccessors:
         points = [("base", plcg, ((SOUGHT, gc), (FOUND, lc, False)))
                   for lc, gc in plcg.att_counts]
         points += [("compose", plcg, stack) for _, _, stack in points]
-        # A spent corner is one composed projection left on its own goal.
+        # A spent corner: a compose projection onto its goal that did not attach.
         points += [("compose", plcg, ((SOUGHT, gc), (FOUND, lc, True)))
                    for lc, gc in plcg.proj_counts if lc == gc]
         points += [("delta", delta, ((SOUGHT, "X"),) * (depth - 1)
