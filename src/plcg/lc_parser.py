@@ -12,8 +12,10 @@ first use and kept on the model.  The variants differ only in the tables:
 
 One beam per word boundary: states that have consumed i words compete,
 attach/project moves are expanded to a fixpoint within the boundary, and
-the k best states that can shift the next tag shift it.  Move lists are
-held in a prefix-sharing store so states are cheap to branch.
+the k best states that can shift the next tag shift it.  The expansion
+looks one tag ahead: it reads tables filtered by the next tag, so it builds
+only the states that can still shift that tag.  Move lists are held in a
+prefix-sharing store so states are cheap to branch.
 """
 
 from __future__ import annotations
@@ -132,12 +134,29 @@ def _delta_moves(model: DeltaModel, lc: str, gc: str, depth: int) -> list:
     return out
 
 
-def _compile_moves(model: PlcgModel | DeltaModel, variant: str, lc: str, gc: str, ctx) -> list:
-    """One decision point's table; base and compose read a delta model's base."""
-    if variant == "delta":
-        return _delta_moves(model, lc, gc, ctx)
+def _compile_moves(
+    model: PlcgModel | DeltaModel, variant: str, lc: str, gc: str, ctx,
+    tag: Optional[str], below: Optional[tuple],
+) -> list:
+    """One decision point's table; base and compose read a delta model's
+    base.  With the next ``tag``, only the entries that leave on top a found
+    corner or a sought category that can shift ``tag``.  A move that pushes
+    nothing pops the corner and its goal and leaves ``below`` on top (None
+    for an empty stack)."""
     base = model.base if isinstance(model, DeltaModel) else model
-    return _lc_moves(base, variant == "compose", lc, gc, ctx)
+    if variant == "delta":
+        table = _delta_moves(model, lc, gc, ctx)
+    else:
+        table = _lc_moves(base, variant == "compose", lc, gc, ctx)
+    if tag is None:
+        return table
+    shifts = _shift_table(base, tag)
+    out = []
+    for entry in table:
+        top = entry[2][-1] if entry[2] else below
+        if top is not None and (top[0] == FOUND or top in shifts):
+            out.append(entry)
+    return out
 
 
 def _shift_table(model: PlcgModel, tag: str) -> dict:
@@ -167,22 +186,27 @@ def shift_successor(
 
 
 def successors(
-    state: ParserState, model: PlcgModel | DeltaModel, store: MoveStore, variant: str = "base"
+    state: ParserState, model: PlcgModel | DeltaModel, store: MoveStore, variant: str = "base",
+    tag: Optional[str] = None,
 ) -> list[ParserState]:
     """Attach/project successors of a state whose top is a found corner.
 
     Probability increments over all successors sum to one at any context
-    seen in training."""
+    seen in training.  With the next ``tag``, only the successors that can
+    still shift it."""
     stack = state.stack
     if not stack or stack[-1][0] == SOUGHT:
         return []
-    # The decision point: spent flag for base/compose, stack depth for delta.
+    # The decision point: spent flag for base/compose, stack depth for delta;
+    # with a next tag, also the entry beneath the goal, which moves that push
+    # nothing expose.
     _, lc, spent = stack[-1]
-    gc = stack[-2][1]
-    key = (variant, lc, gc, len(stack) - 1 if variant == "delta" else spent)
+    below = stack[-3] if tag is not None and len(stack) > 2 else None
+    key = (variant, lc, stack[-2][1], len(stack) - 1 if variant == "delta" else spent,
+           tag, below)
     table = model.move_tables.get(key)
     if table is None:
-        table = model.move_tables[key] = _compile_moves(model, variant, lc, gc, key[3])
+        table = model.move_tables[key] = _compile_moves(model, *key)
     handle, log_prob, append = state.moves, state.log_prob, store.append
     return [ParserState(stack[:-pop] + push, append(handle, move), log_prob + lp)
             for move, pop, push, lp in table]
@@ -190,9 +214,10 @@ def successors(
 
 def _closure(
     states: list[ParserState], model, store: MoveStore, variant: str,
-    max_nonshift: int, state_limit: Optional[int] = None,
+    max_nonshift: int, state_limit: Optional[int] = None, tag: Optional[str] = None,
 ) -> list[ParserState]:
-    """Expand attach/project moves to a fixpoint within a word boundary."""
+    """Expand attach/project moves to a fixpoint within a word boundary.
+    With the next ``tag``, build only the states that can still shift it."""
     out = list(states)
     frontier = list(states)
     rounds = 0
@@ -200,7 +225,7 @@ def _closure(
         nxt: list[ParserState] = []
         for st in frontier:
             if st.stack and st.stack[-1][0] == FOUND:
-                nxt.extend(successors(st, model, store, variant))
+                nxt.extend(successors(st, model, store, variant, tag))
         out.extend(nxt)
         if state_limit is not None and len(out) > state_limit:
             raise TooManyDerivationsError("state count exceeded %d" % state_limit)
@@ -234,7 +259,9 @@ def _complete_states(
     base = model.base if isinstance(model, DeltaModel) else model
     beam = [initial_state(model.start)]
     for tag in tags:
-        pool = _closure(beam, model, store, variant, max_nonshift, state_limit)
+        pool = _closure(beam, model, store, variant, max_nonshift, state_limit, tag)
+        # The closure built only states that can still shift the tag; found
+        # corners on top, carried in or built on the way, are dropped here.
         shifts = _shift_table(base, tag)
         pool = [st for st in pool if st.stack and st.stack[-1] in shifts]
         if k is not None:

@@ -80,6 +80,13 @@ class TestInduce:
         code, _, _ = run(capsys, ["induce", str(empty), str(tmp_path / "m")])
         assert code == 2
 
+    def test_deep_nesting_is_data_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.txt"
+        deep.write_text("(S " + "(X " * 1500 + "(NN a)" + ")" * 1501 + "\n")
+        code, _, err = run(capsys, ["induce", str(deep), str(tmp_path / "m")])
+        assert code == 2 and "error" in err and "nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_delta_requires_binarize(self, workspace, capsys):
         code, _, err = run(
             capsys,

@@ -16,6 +16,8 @@ from plcg.lc_parser import (
     SOUGHT,
     MoveStore,
     ParserState,
+    _closure,
+    _shift_table,
     beam_parse,
     exhaustive_lc_parse,
     initial_state,
@@ -188,6 +190,40 @@ class TestBeam:
 
     def test_no_parse_returns_empty(self, nested_model):
         assert beam_parse(["b", "b"], nested_model, k=64) == []
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("variant", ["base", "compose", "delta"])
+    def test_closure_builds_only_states_that_can_shift_next_tag(self, variant):
+        trees, _ = preprocess_corpus(generate_corpus(500, seed=7), PreprocessOptions())
+        trees = [to_pos_tree(tree) for tree in trees]
+        if variant == "delta":
+            model = induce_delta_model(binarize_corpus(trees))
+            base = model.base
+        else:
+            model = base = induce_plcg(trees)
+        dead = 0
+        for tags in [leaves(tree) for tree in trees[:8]]:
+            store = MoveStore()
+            beam = [initial_state(model.start)]
+            for tag in tags:
+                shifts = _shift_table(base, tag)
+                pool = _closure(beam, model, store, variant, 50, tag=tag)
+                # Only the carried-in states, with the last tag found on top,
+                # may fail to shift; every state built can still shift tag.
+                for st in pool[len(beam):]:
+                    assert st.stack and (st.stack[-1][0] == FOUND or st.stack[-1] in shifts)
+                # The closure without lookahead builds dead states, and the
+                # same shiftable states in the same order.
+                full = _closure(beam, model, store, variant, 50)
+                dead += sum(st.needs_shift and st.stack[-1] not in shifts for st in full)
+                live = [st for st in pool if st.stack and st.stack[-1] in shifts]
+                assert [(st.stack, st.log_prob) for st in live] == [
+                    (st.stack, st.log_prob) for st in full if st.stack and st.stack[-1] in shifts]
+                live.sort(key=lambda st: -st.log_prob)
+                beam = [shift_successor(st, tag, model, store) for st in live[:20]]
+            assert beam
+        assert dead > 0
 
 
 class TestComposeVariant:
