@@ -59,7 +59,6 @@ from .lc_parser import (
     recover_tree,
 )
 from .model_io import ModelFormatError, load_model, loads, dumps, save_model
-from .tagging import TaggingStats, UnseenWordError, tag_probability
 from .transforms import (
     ReservedSymbolError,
     binarize_corpus,
@@ -75,7 +74,6 @@ from .treebank import (
     VacuousTreeError,
     fold_unaries,
     leaves,
-    pos_yield,
     preprocess,
     preprocess_corpus,
     read_tree,

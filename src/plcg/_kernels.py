@@ -1,21 +1,16 @@
-"""Chart-filling inner loops.
-
-The hot loops live here in a numba-friendly, arrays-only form.  When numba
-is installed they are JIT-compiled; setting ``PLCG_DISABLE_NUMBA=1`` (or
-running without numba) selects the same functions run as pure Python.
-"""
+"""Chart-filling inner loops of ``plcg.chart``: scalar Python loops over
+the integer-indexed numpy arrays of a compiled PCFG."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 NEG_INF = float("-inf")
 
 
-def _viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
+def viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                   un_lhs, un_child, un_lp, best, back_op, back_split):
     # back_op: >=0 binary rule index; -2-u for unary rule u; -1 terminal/none.
     n_bin = bin_lhs.shape[0]
@@ -58,7 +53,7 @@ def _viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                         changed = True
 
 
-def _inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
+def inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                  un_lhs, un_child, un_lp, inside, max_unary_passes, tol):
     n_bin = bin_lhs.shape[0]
     n_un = un_lhs.shape[0]
@@ -119,14 +114,3 @@ def _inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
             for s in range(n_syms):
                 inside[i, j, s] = cur[s]
 
-
-viterbi_fill = _viterbi_fill
-inside_fill = _inside_fill
-if os.environ.get("PLCG_DISABLE_NUMBA", "") not in ("1", "true", "yes"):
-    try:
-        import numba
-
-        viterbi_fill = numba.njit(cache=True)(_viterbi_fill)
-        inside_fill = numba.njit(cache=True)(_inside_fill)
-    except ImportError:
-        pass

@@ -18,7 +18,7 @@ from .derivation import derivation_events, stack_delta
 from .evalb import YieldMismatchError, score_corpus
 from .grammar_types import DeltaModel, Model, PcfgModel, PlcgModel
 from .induction import induce_delta_model, induce_pcfg, induce_plcg
-from .lc_parser import beam_parse
+from .lc_parser import VARIANTS, beam_parse
 from .model_io import ModelFormatError, load_model, model_kind, save_model
 from .transforms import binarize_corpus
 from .treebank import (
@@ -134,30 +134,27 @@ def _read_tag_file(path: str) -> list[list[str]]:
 def _parse_sentence(tags: list[str], model: Model, args) -> list[tuple[Tree, float]]:
     if not tags:
         return []
-    if args.engine == "pcfg":
+    if isinstance(model, PcfgModel):
         result = viterbi_parse(tags, model)
         return [result] if result is not None else []
     return beam_parse(tags, model, k=args.beam, n_best=args.n_best, variant=args.variant)
 
 
-def _resolve_engine(args, model: Model) -> None:
-    kind = model_kind(model)
-    if args.engine is None:
-        args.engine = "pcfg" if kind == "pcfg" else "lc"
-    if args.engine == "pcfg" and kind != "pcfg":
-        raise UsageError("--engine pcfg needs a pcfg model, got %s" % kind)
-    if args.engine == "lc" and kind == "pcfg":
-        raise UsageError("--engine lc needs a plcg or delta model")
-    if args.engine == "lc":
-        if args.variant is None:
-            args.variant = "delta" if kind == "delta" else "base"
-        if args.variant == "delta" and kind != "delta":
-            raise UsageError("--variant delta needs a delta model, got %s" % kind)
+def _resolve_variant(args, kind: str) -> None:
+    """The model kind picks the parser: the chart for a pcfg, the
+    left-corner beam for plcg and delta models."""
+    if kind == "pcfg":
+        if args.variant is not None or args.n_best > 1:
+            raise UsageError("--variant and --n-best need a plcg or delta model, got pcfg")
+    elif args.variant is None:
+        args.variant = "delta" if kind == "delta" else "base"
+    elif args.variant == "delta" and kind != "delta":
+        raise UsageError("--variant delta needs a delta model, got %s" % kind)
 
 
 def cmd_parse(args) -> int:
     model = load_model(args.model)
-    _resolve_engine(args, model)
+    _resolve_variant(args, model_kind(model))
     sentences = _read_tag_file(args.tags)
     parsed, log_probs = 0, []
     for tags in sentences:
@@ -167,7 +164,7 @@ def cmd_parse(args) -> int:
             continue
         parsed += 1
         log_probs.append(parses[0][1])
-        if args.n_best == 1 or args.engine == "pcfg":
+        if args.n_best == 1:
             tree, lp = parses[0]
             print("%s\t%.6f" % (write_tree(tree), lp))
         else:
@@ -280,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse tag sequences with a saved model")
     p.add_argument("model", help="model file")
     p.add_argument("tags", help="file with one space-separated tag sequence per line")
-    p.add_argument("--engine", choices=["pcfg", "lc"], default=None,
-                   help="parsing engine (default: by model kind)")
-    p.add_argument("--variant", choices=["base", "compose", "delta"], default=None,
-                   help="left-corner machine variant (default: by model kind)")
+    p.add_argument("--variant", choices=VARIANTS, default=None,
+                   help="left-corner machine variant (default: delta for a delta "
+                        "model, else base; plcg and delta models only)")
     p.add_argument("--beam", type=int, default=100, metavar="K", help="beam width")
     p.add_argument("--n-best", type=int, default=1, metavar="N")
     p.set_defaults(func=cmd_parse)

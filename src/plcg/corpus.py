@@ -9,7 +9,6 @@ position, flat in object position), so parsers can actually disagree.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .treebank import Tree
 
@@ -103,19 +102,15 @@ _TAGS = ["DT", "NN", "VB", "IN", "JJ"]
 _TERMS = ["the", "cat", "sat", "on", "mat", "big"]
 
 
-def random_tree(
-    rng: random.Random, max_depth: int = 8, max_branch: int = 4,
-    terminals: Optional[list[str]] = None,
-) -> Tree:
+def random_tree(rng: random.Random, max_depth: int = 8, max_branch: int = 4) -> Tree:
     """Arbitrary well-formed tree for round-trip property tests; internal
     nodes may mix subtree and bare-terminal children."""
-    terms = terminals if terminals is not None else _TERMS
 
     def node(depth: int) -> Tree:
         if depth >= max_depth or rng.random() < 0.25:
             if rng.random() < 0.5:
-                return Tree(rng.choice(_TAGS), (Tree(rng.choice(terms)),))
-            return Tree(rng.choice(terms))
+                return Tree(rng.choice(_TAGS), (Tree(rng.choice(_TERMS)),))
+            return Tree(rng.choice(_TERMS))
         n = rng.randint(1, max_branch)
         return Tree(rng.choice(_LABELS), tuple(node(depth + 1) for _ in range(n)))
 

@@ -3,7 +3,7 @@ unary-inclusive +1 variants, and crossing-bracket statistics.
 
 Preterminal spans never count.  Unless a measure is marked +1, unary chains
 over an identical span collapse to a single bracket keeping the outermost
-label.  A configurable root wrapper label is excluded as a preprocessing
+label.  The ``ROOT`` wrapper that preprocessing adds is excluded as an
 artifact.  None of the original PARSEVAL special-case tree normalizations
 are applied.
 """
@@ -26,7 +26,7 @@ class YieldMismatchError(ValueError):
         self.index = index
 
 
-def brackets(t: Tree, include_unary: bool, root_label: str = ROOT_LABEL) -> Counter:
+def brackets(t: Tree, include_unary: bool) -> Counter:
     """Multiset of (start, end, label) spans over terminal positions."""
     spans: list[tuple[int, int, str, int]] = []  # + tree depth for outermost-wins
 
@@ -38,7 +38,7 @@ def brackets(t: Tree, include_unary: bool, root_label: str = ROOT_LABEL) -> Coun
             end = walk(c, end, depth + 1)
         if node.is_preterminal:
             return end
-        if depth == 0 and node.label == root_label:
+        if depth == 0 and node.label == ROOT_LABEL:
             return end
         spans.append((start, end, node.label, depth))
         return end
@@ -66,19 +66,18 @@ def _crossing(test_spans: set[tuple[int, int]], gold_spans: set[tuple[int, int]]
 
 def score(
     gold: Tree, test: Tree, labelled: bool, include_unary: bool,
-    root_label: str = ROOT_LABEL,
 ) -> tuple[int, int, int, int]:
     """Per-sentence (matched, gold_count, test_count, crossing)."""
     if leaves(gold) != leaves(test):
         raise YieldMismatchError()
-    gb = brackets(gold, include_unary, root_label)
-    tb = brackets(test, include_unary, root_label)
+    gb = brackets(gold, include_unary)
+    tb = brackets(test, include_unary)
     if not labelled:
         gb = Counter((i, j) for i, j, _ in gb.elements())
         tb = Counter((i, j) for i, j, _ in tb.elements())
     matched = sum((gb & tb).values())
-    gold_spans = {(i, j) for i, j, _ in brackets(gold, False, root_label)}
-    test_spans = {(i, j) for i, j, _ in brackets(test, False, root_label)}
+    gold_spans = {(i, j) for i, j, _ in brackets(gold, False)}
+    test_spans = {(i, j) for i, j, _ in brackets(test, False)}
     crossing = _crossing(test_spans, gold_spans)
     return matched, sum(gb.values()), sum(tb.values()), crossing
 
@@ -98,10 +97,10 @@ class SentenceScore:
     crossing: int
 
 
-def score_pair(gold: Tree, test: Tree, root_label: str = ROOT_LABEL) -> SentenceScore:
-    m, g, t, cb = score(gold, test, labelled=False, include_unary=False, root_label=root_label)
-    lm, lg, lt, _ = score(gold, test, labelled=True, include_unary=False, root_label=root_label)
-    pm, pg, pt, _ = score(gold, test, labelled=True, include_unary=True, root_label=root_label)
+def score_pair(gold: Tree, test: Tree) -> SentenceScore:
+    m, g, t, cb = score(gold, test, labelled=False, include_unary=False)
+    lm, lg, lt, _ = score(gold, test, labelled=True, include_unary=False)
+    pm, pg, pt, _ = score(gold, test, labelled=True, include_unary=True)
     return SentenceScore(
         length=len(leaves(gold)),
         matched=m, gold=g, test=t,
@@ -156,7 +155,7 @@ def aggregate(scores: Sequence[SentenceScore]) -> EvalReport:
 
 def score_corpus(
     golds: Sequence[Tree], tests: Sequence[Tree],
-    max_length: Optional[int] = None, root_label: str = ROOT_LABEL,
+    max_length: Optional[int] = None,
 ) -> tuple[EvalReport, int]:
     """Aggregate report over aligned tree lists; returns (report, retained)."""
     if len(golds) != len(tests):
@@ -167,5 +166,5 @@ def score_corpus(
             raise YieldMismatchError(idx)
         if max_length is not None and len(leaves(g)) > max_length:
             continue
-        scores.append(score_pair(g, t, root_label))
+        scores.append(score_pair(g, t))
     return aggregate(scores), len(scores)

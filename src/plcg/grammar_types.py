@@ -47,9 +47,6 @@ class PcfgModel:
     def rules(self) -> Iterable[Rule]:
         return self.counts.keys()
 
-    def lhs_total(self, lhs: str) -> int:
-        return self._lhs_totals.get(lhs, 0)
-
     def prob(self, rule: Rule) -> float:
         c = self.counts.get(rule, 0)
         return c / self._lhs_totals[rule.lhs] if c else 0.0
@@ -72,10 +69,6 @@ class PcfgModel:
         for rule in self.counts:
             syms.update(rule.rhs)
         return syms
-
-    @property
-    def terminals(self) -> set[str]:
-        return self.symbols - self.nonterminals
 
 
 def left_corner_closure(rules: Iterable[Rule], extra: Iterable[str] = ()) -> dict[str, frozenset[str]]:

@@ -1,14 +1,14 @@
 """Probabilistic left-corner beam parser over tag sequences.
 
-One stack machine serves every variant.  At each decision point (a found
+One stack machine serves both variants.  At each decision point (a found
 corner on top, its goal beneath) it reads the model's move table: one
 (move, entries popped, entries pushed, log-prob) per successor, built on
 first use and kept on the model.  The variants differ only in the tables:
-  base    - attach decided when a completed corner sits on its goal.
-  compose - attach decided at projection time (bounded stack on pure
-            left/right branching input).
-  delta   - compose machine scored by the stack-size conditioned model,
-            with tables keyed by stack depth as well.
+  base  - attach decided when a completed corner sits on its goal; a PLCG,
+          or the PLCG tables of a delta model.
+  delta - attach decided at projection time (the composed machine), scored
+          by the stack-size conditioned model, with tables keyed by stack
+          depth as well.
 
 One beam per word boundary: states that have consumed i words compete,
 attach/project moves are expanded to a fixpoint within the boundary, and
@@ -27,6 +27,13 @@ from .derivation import LcMove, replay
 from .grammar_types import ATTACH_RULE, DeltaModel, PlcgModel
 from .transforms import debinarize_tree, is_binarized_symbol
 from .treebank import Tree, write_tree
+
+# Closure rounds per word boundary: a unary cycle would otherwise project
+# forever.
+MAX_NONSHIFT = 50
+# States an exhaustive parse may build in one closure.
+STATE_LIMIT = 200000
+VARIANTS = ("base", "delta")
 
 
 class MoveStore:
@@ -56,8 +63,7 @@ class MoveStore:
         return len(self._moves)
 
 
-# Stack entries: ("s", category) sought, ("f", category, spent) found, where
-# spent marks a corner whose attach decision was already taken (compose).
+# Stack entries: ("s", category) sought, ("f", category) found.
 SOUGHT, FOUND = "s", "f"
 
 
@@ -82,37 +88,28 @@ def initial_state(start: str) -> ParserState:
 _ATTACH = LcMove.attach()
 
 
-def _project(rule, compose: bool, spent: bool, lp: float) -> tuple:
+def _project(rule, compose: bool, lp: float) -> tuple:
     """Table entry projecting ``rule`` from the corner on top: onto the goal
     beneath when composing, else as a found corner."""
     soughts = tuple((SOUGHT, sym) for sym in reversed(rule.rhs[1:]))
     if compose:
         return (LcMove.project(rule, compose=True), 2, soughts, lp)
-    return (LcMove.project(rule), 1, ((FOUND, rule.lhs, spent),) + soughts, lp)
+    return (LcMove.project(rule), 1, ((FOUND, rule.lhs),) + soughts, lp)
 
 
-def _lc_moves(model: PlcgModel, compose: bool, lc: str, gc: str, spent: bool) -> list:
-    """Base and compose moves at (lc, gc): the attach complement folded into
-    every projection; under compose, a projection onto the goal splits on
-    the attach decision the base machine would take once it completes."""
+def _lc_moves(model: PlcgModel, lc: str, gc: str) -> list:
+    """Base moves at (lc, gc), with the attach complement folded into every
+    projection."""
     out = []
-    p_att = 0.0 if spent else model.p_att(lc, gc)
+    p_att = model.p_att(lc, gc)
     if p_att > 0.0:
         out.append((_ATTACH, 2, (), math.log(p_att)))
     for rule, p_rule in model.projections(lc, gc).items():
         if not model.is_possible_corner(rule.lhs, gc):
             continue
         p = (1.0 - p_att) * p_rule
-        if p == 0.0:
-            continue
-        if compose and rule.lhs == gc:
-            p_att_new = model.p_att(rule.lhs, gc)
-            if p_att_new > 0.0:
-                out.append(_project(rule, True, True, math.log(p * p_att_new)))
-            if p_att_new < 1.0:
-                out.append(_project(rule, False, True, math.log(p * (1.0 - p_att_new))))
-        else:
-            out.append(_project(rule, False, False, math.log(p)))
+        if p != 0.0:
+            out.append(_project(rule, False, math.log(p)))
     return out
 
 
@@ -130,24 +127,24 @@ def _delta_moves(model: DeltaModel, lc: str, gc: str, depth: int) -> list:
             if rule == ATTACH_RULE:
                 out.append((_ATTACH, 2, (), math.log(p)))
             elif not composed or rule.lhs == gc:
-                out.append(_project(rule, composed, True, math.log(p)))
+                out.append(_project(rule, composed, math.log(p)))
     return out
 
 
 def _compile_moves(
-    model: PlcgModel | DeltaModel, variant: str, lc: str, gc: str, ctx,
-    tag: Optional[str], below: Optional[tuple],
+    model: PlcgModel | DeltaModel, variant: str, lc: str, gc: str,
+    depth: Optional[int], tag: Optional[str], below: Optional[tuple],
 ) -> list:
-    """One decision point's table; base and compose read a delta model's
-    base.  With the next ``tag``, only the entries that leave on top a found
-    corner or a sought category that can shift ``tag``.  A move that pushes
-    nothing pops the corner and its goal and leaves ``below`` on top (None
-    for an empty stack)."""
+    """One decision point's table; base reads a delta model's base.  With
+    the next ``tag``, only the entries that leave on top a found corner or a
+    sought category that can shift ``tag``.  A move that pushes nothing pops
+    the corner and its goal and leaves ``below`` on top (None for an empty
+    stack)."""
     base = model.base if isinstance(model, DeltaModel) else model
     if variant == "delta":
-        table = _delta_moves(model, lc, gc, ctx)
+        table = _delta_moves(model, lc, gc, depth)
     else:
-        table = _lc_moves(base, variant == "compose", lc, gc, ctx)
+        table = _lc_moves(base, lc, gc)
     if tag is None:
         return table
     shifts = _shift_table(base, tag)
@@ -181,7 +178,7 @@ def shift_successor(
     if entry is None:
         return None
     move, lp = entry
-    return ParserState(state.stack + ((FOUND, tag, False),),
+    return ParserState(state.stack + ((FOUND, tag),),
                        store.append(state.moves, move), state.log_prob + lp)
 
 
@@ -197,13 +194,11 @@ def successors(
     stack = state.stack
     if not stack or stack[-1][0] == SOUGHT:
         return []
-    # The decision point: spent flag for base/compose, stack depth for delta;
-    # with a next tag, also the entry beneath the goal, which moves that push
-    # nothing expose.
-    _, lc, spent = stack[-1]
+    # The decision point, with the stack depth for delta; with a next tag,
+    # also the entry beneath the goal, which moves that push nothing expose.
     below = stack[-3] if tag is not None and len(stack) > 2 else None
-    key = (variant, lc, stack[-2][1], len(stack) - 1 if variant == "delta" else spent,
-           tag, below)
+    key = (variant, stack[-1][1], stack[-2][1],
+           len(stack) - 1 if variant == "delta" else None, tag, below)
     table = model.move_tables.get(key)
     if table is None:
         table = model.move_tables[key] = _compile_moves(model, *key)
@@ -214,14 +209,15 @@ def successors(
 
 def _closure(
     states: list[ParserState], model, store: MoveStore, variant: str,
-    max_nonshift: int, state_limit: Optional[int] = None, tag: Optional[str] = None,
+    tag: Optional[str] = None, state_limit: Optional[int] = None,
 ) -> list[ParserState]:
-    """Expand attach/project moves to a fixpoint within a word boundary.
-    With the next ``tag``, build only the states that can still shift it."""
+    """Expand attach/project moves to a fixpoint within a word boundary, for
+    at most ``MAX_NONSHIFT`` rounds.  With the next ``tag``, build only the
+    states that can still shift it."""
     out = list(states)
     frontier = list(states)
     rounds = 0
-    while frontier and rounds < max_nonshift:
+    while frontier and rounds < MAX_NONSHIFT:
         nxt: list[ParserState] = []
         for st in frontier:
             if st.stack and st.stack[-1][0] == FOUND:
@@ -247,19 +243,22 @@ def _rank(state: ParserState) -> tuple:
 
 
 def _complete_states(
-    tags: Sequence[str], model, store: MoveStore, variant: str, max_nonshift: int,
-    k: Optional[int] = None, state_limit: Optional[int] = None,
+    tags: Sequence[str], model, store: MoveStore, variant: str, k: Optional[int] = None,
 ) -> list[ParserState]:
     """Complete states over ``tags``, best first.  With ``k``, only the ``k``
-    best states that can shift the next tag survive each word boundary."""
+    best states that can shift the next tag survive each word boundary;
+    without, a closure may build at most ``STATE_LIMIT`` states."""
     if not tags:
         raise ValueError("empty tag sequence")
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant %r (expected one of %s)" % (variant, ", ".join(VARIANTS)))
     if variant == "delta" and not isinstance(model, DeltaModel):
         raise TypeError("delta variant needs a DeltaModel")
     base = model.base if isinstance(model, DeltaModel) else model
+    state_limit = STATE_LIMIT if k is None else None
     beam = [initial_state(model.start)]
     for tag in tags:
-        pool = _closure(beam, model, store, variant, max_nonshift, state_limit, tag)
+        pool = _closure(beam, model, store, variant, tag, state_limit)
         # The closure built only states that can still shift the tag; found
         # corners on top, carried in or built on the way, are dropped here.
         shifts = _shift_table(base, tag)
@@ -270,7 +269,7 @@ def _complete_states(
         beam = [shift_successor(st, tag, model, store) for st in pool]
         if not beam:
             return []
-    final = _closure(beam, model, store, variant, max_nonshift, state_limit)
+    final = _closure(beam, model, store, variant, state_limit=state_limit)
     return sorted((st for st in final if st.complete), key=_rank)
 
 
@@ -280,14 +279,13 @@ def beam_parse(
     k: int,
     n_best: int = 1,
     variant: str = "base",
-    max_nonshift: int = 50,
 ) -> list[tuple[Tree, float]]:
     """Up to ``n_best`` complete parses, best first.  Not guaranteed optimal
     unless ``k`` exceeds the number of reachable states."""
     if k < 1 or n_best < 1:
         raise ValueError("k and n_best must be >= 1")
     store = MoveStore()
-    complete = _complete_states(tags, model, store, variant, max_nonshift, k=k)
+    complete = _complete_states(tags, model, store, variant, k=k)
     # Distinct derivations of one tree only arise through binarization;
     # after debinarizing, keep the best score per tree.
     out: list[tuple[Tree, float]] = []
@@ -307,15 +305,13 @@ def exhaustive_lc_parse(
     tags: Sequence[str],
     model: PlcgModel | DeltaModel,
     variant: str = "base",
-    max_nonshift: int = 50,
-    state_limit: int = 200000,
 ) -> list[tuple[Tree, float]]:
     """Every complete derivation with its probability; oracle for small
     fixtures.  Each tree of the model appears through exactly one
-    derivation (before binarization)."""
+    derivation (before binarization).  Raises TooManyDerivationsError when a
+    closure builds more than ``STATE_LIMIT`` states."""
     store = MoveStore()
-    complete = _complete_states(tags, model, store, variant, max_nonshift,
-                                state_limit=state_limit)
+    complete = _complete_states(tags, model, store, variant)
     return [(recover_tree(st.moves, model.start, store), st.log_prob) for st in complete]
 
 

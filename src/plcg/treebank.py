@@ -56,8 +56,6 @@ class PreprocessOptions:
     strip_empties: bool = True
     strip_function_tags: bool = True
     unary_mode: UnaryMode = UnaryMode.KEEP
-    empty_marker: str = EMPTY_MARKER
-    root_label: str = ROOT_LABEL
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, int]]:
@@ -130,15 +128,12 @@ def write_tree(t: Tree) -> str:
     return "(%s %s)" % (t.label, " ".join(write_tree(c) for c in t.children))
 
 
-def write_trees(trees: Iterable[Tree], sink: TextIO | None = None) -> str:
+def write_trees(trees: Iterable[Tree]) -> str:
     """Canonical one-line-per-tree form; inverse of read_trees."""
-    text = "".join(write_tree(t) + "\n" for t in trees)
-    if sink is not None:
-        sink.write(text)
-    return text
+    return "".join(write_tree(t) + "\n" for t in trees)
 
 
-def _strip_function_tags(t: Tree, opts: PreprocessOptions) -> Tree:
+def _strip_function_tags(t: Tree) -> Tree:
     if t.is_leaf:
         return t
     label = t.label
@@ -147,17 +142,17 @@ def _strip_function_tags(t: Tree, opts: PreprocessOptions) -> Tree:
         for d in FUNCTION_DELIMITERS:
             head, _, _ = label.partition(d)
             label = head
-    return Tree(label, tuple(_strip_function_tags(c, opts) for c in t.children))
+    return Tree(label, tuple(_strip_function_tags(c) for c in t.children))
 
 
-def _strip_empties(t: Tree, marker: str) -> Tree | None:
+def _strip_empties(t: Tree) -> Tree | None:
     if t.is_leaf:
         return t
     if t.is_preterminal:
-        return None if t.label == marker else t
+        return None if t.label == EMPTY_MARKER else t
     kept = []
     for c in t.children:
-        sc = _strip_empties(c, marker)
+        sc = _strip_empties(c)
         if sc is not None:
             kept.append(sc)
     if not kept:
@@ -178,7 +173,7 @@ def _fold_once(t: Tree, mode: UnaryMode) -> Tree:
     return Tree(t.label, children)
 
 
-def fold_unaries(t: Tree, mode: UnaryMode, root_label: str = ROOT_LABEL) -> Tree:
+def fold_unaries(t: Tree, mode: UnaryMode) -> Tree:
     """Eliminate unary branches by hoisting the child (fold_up) or relabelling
     it with the parent (fold_down), applied to a fixpoint.  The unary branch
     under an existing root wrapper is left alone."""
@@ -193,7 +188,7 @@ def fold_unaries(t: Tree, mode: UnaryMode, root_label: str = ROOT_LABEL) -> Tree
             prev, node = node, _fold_once(node, mode)
         return node
 
-    if t.label == root_label and len(t.children) == 1:
+    if t.label == ROOT_LABEL and len(t.children) == 1:
         return Tree(t.label, (fold(t.children[0]),))
     return fold(t)
 
@@ -202,15 +197,15 @@ def preprocess(t: Tree, opts: PreprocessOptions) -> Tree:
     """Apply the standard pipeline: function-tag stripping, empty-node
     removal, optional unary folding, and root wrapping."""
     if opts.strip_function_tags:
-        t = _strip_function_tags(t, opts)
+        t = _strip_function_tags(t)
     if opts.strip_empties:
-        stripped = _strip_empties(t, opts.empty_marker)
+        stripped = _strip_empties(t)
         if stripped is None:
             raise VacuousTreeError("tree has no pronounced words after stripping")
         t = stripped
-    t = fold_unaries(t, opts.unary_mode, opts.root_label)
-    if opts.add_root and t.label != opts.root_label:
-        t = Tree(opts.root_label, (t,))
+    t = fold_unaries(t, opts.unary_mode)
+    if opts.add_root and t.label != ROOT_LABEL:
+        t = Tree(ROOT_LABEL, (t,))
     return t
 
 
@@ -227,24 +222,6 @@ def preprocess_corpus(
     return out, dropped
 
 
-def pos_yield(t: Tree) -> list[str]:
-    """Left-to-right preterminal labels.  Bare terminal leaves sitting under
-    an internal node stand for their own tag."""
-    tags: list[str] = []
-
-    def walk(node: Tree) -> None:
-        if node.is_leaf:
-            tags.append(node.label)
-        elif node.is_preterminal:
-            tags.append(node.label)
-        else:
-            for c in node.children:
-                walk(c)
-
-    walk(t)
-    return tags
-
-
 def leaves(t: Tree) -> list[str]:
     if t.is_leaf:
         return [t.label]
@@ -256,11 +233,19 @@ def leaves(t: Tree) -> list[str]:
 
 def to_pos_tree(t: Tree) -> Tree:
     """Replace every preterminal with a bare leaf carrying the tag, so that
-    part-of-speech tags become the terminals."""
+    part-of-speech tags become the terminals.
+
+    Expects word-level trees.  A node that mixes bare leaves with other
+    children marks a tree already at tag level, whose unary phrases such as
+    ``(NP PRP)`` would read as preterminals; it raises ValueError."""
     if t.is_leaf:
         return t
     if t.is_preterminal:
         return Tree(t.label)
+    n_leaves = sum(c.is_leaf for c in t.children)
+    if n_leaves and n_leaves < len(t.children):
+        raise ValueError("%s mixes bare leaves with phrases; expected a word-level tree: %s"
+                         % (t.label, write_tree(t)))
     return Tree(t.label, tuple(to_pos_tree(c) for c in t.children))
 
 

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import t
+from plcg import lc_parser
 from plcg.corpus import generate_corpus
 from plcg.induction import (
     delta_tree_log_prob,
@@ -16,6 +17,7 @@ from plcg.lc_parser import (
     SOUGHT,
     MoveStore,
     ParserState,
+    TooManyDerivationsError,
     _closure,
     _shift_table,
     beam_parse,
@@ -97,16 +99,12 @@ class TestSuccessors:
         trees = [to_pos_tree(tree) for tree in trees]
         plcg = induce_plcg(trees)
         delta = induce_delta_model(binarize_corpus(trees))
-        points = [("base", plcg, ((SOUGHT, gc), (FOUND, lc, False)))
+        points = [("base", plcg, ((SOUGHT, gc), (FOUND, lc)))
                   for lc, gc in plcg.att_counts]
-        points += [("compose", plcg, stack) for _, _, stack in points]
-        # A spent corner: a compose projection onto its goal that did not attach.
-        points += [("compose", plcg, ((SOUGHT, gc), (FOUND, lc, True)))
-                   for lc, gc in plcg.proj_counts if lc == gc]
         points += [("delta", delta, ((SOUGHT, "X"),) * (depth - 1)
-                    + ((SOUGHT, gc), (FOUND, lc, True)))
+                    + ((SOUGHT, gc), (FOUND, lc)))
                    for depth, lc, gc in delta.delta_counts]
-        assert {variant for variant, _, _ in points} == {"base", "compose", "delta"}
+        assert {variant for variant, _, _ in points} == {"base", "delta"}
         for variant, model, stack in points:
             state = ParserState(stack, MoveStore.ROOT, 0.0)
             branches = successors(state, model, MoveStore(), variant)
@@ -188,12 +186,19 @@ class TestBeam:
         with pytest.raises(ValueError):
             beam_parse(["c"], nested_model, k=0)
 
+    @pytest.mark.parametrize("variant", ["compose", "bsae", "Base"])
+    def test_unknown_variant_raises(self, nested_model, variant):
+        with pytest.raises(ValueError, match="unknown variant"):
+            beam_parse(["c", "a"], nested_model, k=4, variant=variant)
+        with pytest.raises(ValueError, match="unknown variant"):
+            exhaustive_lc_parse(["c", "a"], nested_model, variant=variant)
+
     def test_no_parse_returns_empty(self, nested_model):
         assert beam_parse(["b", "b"], nested_model, k=64) == []
 
 
 class TestLookahead:
-    @pytest.mark.parametrize("variant", ["base", "compose", "delta"])
+    @pytest.mark.parametrize("variant", ["base", "delta"])
     def test_closure_builds_only_states_that_can_shift_next_tag(self, variant):
         trees, _ = preprocess_corpus(generate_corpus(500, seed=7), PreprocessOptions())
         trees = [to_pos_tree(tree) for tree in trees]
@@ -208,14 +213,14 @@ class TestLookahead:
             beam = [initial_state(model.start)]
             for tag in tags:
                 shifts = _shift_table(base, tag)
-                pool = _closure(beam, model, store, variant, 50, tag=tag)
+                pool = _closure(beam, model, store, variant, tag)
                 # Only the carried-in states, with the last tag found on top,
                 # may fail to shift; every state built can still shift tag.
                 for st in pool[len(beam):]:
                     assert st.stack and (st.stack[-1][0] == FOUND or st.stack[-1] in shifts)
                 # The closure without lookahead builds dead states, and the
                 # same shiftable states in the same order.
-                full = _closure(beam, model, store, variant, 50)
+                full = _closure(beam, model, store, variant)
                 dead += sum(st.needs_shift and st.stack[-1] not in shifts for st in full)
                 live = [st for st in pool if st.stack and st.stack[-1] in shifts]
                 assert [(st.stack, st.log_prob) for st in live] == [
@@ -226,20 +231,37 @@ class TestLookahead:
         assert dead > 0
 
 
-class TestComposeVariant:
-    def test_per_tree_probability_matches_base(self, ambiguous_corpus):
+class TestBounds:
+    def test_state_limit_stops_exhaustive_parse(self, ambiguous_corpus, monkeypatch):
         model = induce_plcg(ambiguous_corpus)
-        for tree in ambiguous_corpus:
-            tags = leaves(tree)
-            base = dict(exhaustive_lc_parse(tags, model, variant="base"))
-            comp = dict(exhaustive_lc_parse(tags, model, variant="compose"))
-            assert set(base) == set(comp)
-            for key in base:
-                assert base[key] == pytest.approx(comp[key], abs=1e-9)
+        tags = ["NN", "NN", "VB"]
+        assert exhaustive_lc_parse(tags, model)
+        monkeypatch.setattr(lc_parser, "STATE_LIMIT", 3)
+        with pytest.raises(TooManyDerivationsError):
+            exhaustive_lc_parse(tags, model)
+        # The beam keeps k states a boundary and is not bounded by it.
+        assert beam_parse(tags, model, k=100)
 
-    def test_bounded_stack_on_right_branching(self, nested_model):
-        parses = beam_parse(["c", "a"] + ["b"] * 0, nested_model, k=10, variant="compose")
-        assert parses
+    def test_unary_self_loop_closure_stops_after_max_nonshift_rounds(self, monkeypatch):
+        # One NP -> NP tree among six: every found NP can project NP again.
+        gold = t("(S (NP DT NN) (VP VB (NP PRP)))")
+        model = induce_plcg([
+            gold,
+            t("(S (NP (NP DT NN)) (VP VB))"),
+            t("(S (NP PRP) (VP VB))"),
+            t("(S (NP DT NN) (VP VB (NP DT NN)))"),
+            t("(S (NP PRP) (VP VB (NP PRP)))"),
+            t("(S (NP DT NN) (VP VB))"),
+        ])
+        best = beam_parse(leaves(gold), model, k=100)
+        assert best and best[0][0] == gold
+        for rounds in (lc_parser.MAX_NONSHIFT, 7):
+            monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
+            store = MoveStore()
+            found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), MoveStore.ROOT, 0.0)
+            pool = _closure([found_np], model, store, "base", "VB")
+            # Each round adds one move; the NP -> NP chain alone never ends.
+            assert max(len(store.sequence(st.moves)) for st in pool) == rounds
 
 
 class TestDeltaVariant:

@@ -11,7 +11,6 @@ from plcg.treebank import (
     VacuousTreeError,
     fold_unaries,
     leaves,
-    pos_yield,
     preprocess,
     preprocess_corpus,
     read_tree,
@@ -87,19 +86,15 @@ class TestNodeKinds:
         assert tree.children[0].is_preterminal
         assert tree.children[0].children[0].is_leaf
 
-    def test_pos_yield_and_leaves(self):
-        tree = t("(S (NP (DT the) (NN dog)) (VP (VB ran)))")
-        assert pos_yield(tree) == ["DT", "NN", "VB"]
-        assert leaves(tree) == ["the", "dog", "ran"]
-
-    def test_pos_yield_counts_bare_leaves_as_tags(self):
-        # Bare leaves under an internal node stand for their own tags.
-        tree = t("(S (NP DT NN) (VP VB NP))")
-        assert pos_yield(tree) == ["DT", "NN", "VB", "NP"]
-
     def test_to_pos_tree(self):
         tree = t("(S (NP (DT the) (NN dog)) (VP (VB ran)))")
         assert write_tree(to_pos_tree(tree)) == "(S (NP DT NN) (VP VB))"
+
+    def test_to_pos_tree_rejects_tag_level_trees(self):
+        # (NP PRP) would become the leaf NP; VB beside (NP DT NN) shows the
+        # tree is already at tag level.
+        with pytest.raises(ValueError, match="VP mixes bare leaves"):
+            to_pos_tree(t("(S (NP PRP) (VP VB (NP DT NN)))"))
 
 
 class TestPreprocessing:
