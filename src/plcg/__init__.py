@@ -38,7 +38,6 @@ from .grammar_types import (
     PcfgModel,
     PlcgModel,
     Rule,
-    left_corner_closure,
 )
 from .induction import (
     corpus_log_likelihood,

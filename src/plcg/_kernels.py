@@ -1,116 +1,105 @@
-"""Chart-filling inner loops of ``plcg.chart``: scalar Python loops over
-the integer-indexed numpy arrays of a compiled PCFG."""
+"""Chart-filling inner loops of ``plcg.chart`` over the integer-indexed
+numpy arrays of a compiled PCFG.
+
+Each span (i, j) scores every binary rule at every split in one numpy
+expression.  The binary rules must be sorted by lhs, so that each lhs owns
+one contiguous run of rule indices.
+"""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 NEG_INF = float("-inf")
 
 
+def _lhs_runs(bin_lhs):
+    """Start index of each lhs's run of rules, its lhs and its length."""
+    starts = np.flatnonzero(np.diff(bin_lhs, prepend=-1))
+    return starts, bin_lhs[starts], np.diff(starts, append=bin_lhs.shape[0])
+
+
+def _split_scores(chart, i, j, bin_r1, bin_r2, bin_lp):
+    """Score of every binary rule (columns) at every split (rows) of span
+    (i, j), added as ``(w + left) + right``."""
+    return bin_lp + chart[i, i + 1:j][:, bin_r1] + chart[i + 1:j, j][:, bin_r2]
+
+
 def viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                   un_lhs, un_child, un_lp, best, back_op, back_split):
-    # back_op: >=0 binary rule index; -2-u for unary rule u; -1 terminal/none.
+    """Fill the Viterbi chart in place.
+
+    back_op: >=0 binary rule index; -2-u for unary rule u; -1 terminal/none.
+    Ties go to the first rule, then the first split, that reaches the best
+    score, and a unary candidate ``w + child`` changes a cell only on a
+    strict improvement.
+    """
     n_bin = bin_lhs.shape[0]
-    n_un = un_lhs.shape[0]
+    rule_ids = np.arange(n_bin)
+    starts, run_lhs, run_sizes = _lhs_runs(bin_lhs)
+    unary = list(zip(un_lhs.tolist(), un_child.tolist(), un_lp.tolist()))
     for i in range(n):
         best[i, i + 1, term_ids[i]] = 0.0
     for length in range(1, n + 1):
         for i in range(n - length + 1):
             j = i + length
-            if length > 1:
-                for r in range(n_bin):
-                    a, b, c = bin_lhs[r], bin_r1[r], bin_r2[r]
-                    w = bin_lp[r]
-                    for m in range(i + 1, j):
-                        lb = best[i, m, b]
-                        if lb == NEG_INF:
-                            continue
-                        rc = best[m, j, c]
-                        if rc == NEG_INF:
-                            continue
-                        cand = w + lb + rc
-                        if cand > best[i, j, a]:
-                            best[i, j, a] = cand
-                            back_op[i, j, a] = r
-                            back_split[i, j, a] = m
+            if length > 1 and n_bin:
+                cand = _split_scores(best, i, j, bin_r1, bin_r2, bin_lp)
+                split = cand.argmax(axis=0)
+                rule_best = cand[split, rule_ids]
+                lhs_best = np.maximum.reduceat(rule_best, starts)
+                hit = rule_best == np.repeat(lhs_best, run_sizes)
+                first = np.minimum.reduceat(np.where(hit, rule_ids, n_bin), starts)
+                found = lhs_best > NEG_INF
+                lhs, rules = run_lhs[found], first[found]
+                best[i, j, lhs] = lhs_best[found]
+                back_op[i, j, lhs] = rules
+                back_split[i, j, lhs] = split[rules] + i + 1
             # Unary closure to a fixpoint (strict improvement only).
+            row = best[i, j].tolist()
+            unary_op: dict[int, int] = {}
             changed = True
             while changed:
                 changed = False
-                for u in range(n_un):
-                    a, b = un_lhs[u], un_child[u]
-                    lb = best[i, j, b]
+                for u, (a, b, w) in enumerate(unary):
+                    lb = row[b]
                     if lb == NEG_INF:
                         continue
-                    cand = un_lp[u] + lb
-                    if cand > best[i, j, a]:
-                        best[i, j, a] = cand
-                        back_op[i, j, a] = -2 - u
-                        back_split[i, j, a] = -1
+                    cand_u = w + lb
+                    if cand_u > row[a]:
+                        row[a] = cand_u
+                        unary_op[a] = -2 - u
                         changed = True
+            if unary_op:
+                syms = list(unary_op)
+                best[i, j, syms] = [row[a] for a in syms]
+                back_op[i, j, syms] = list(unary_op.values())
+                back_split[i, j, syms] = -1
 
 
 def inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                  un_lhs, un_child, un_lp, inside, max_unary_passes, tol):
-    n_bin = bin_lhs.shape[0]
-    n_un = un_lhs.shape[0]
-    for i in range(n):
-        inside[i, i + 1, term_ids[i]] = 0.0
+    """Fill the inside chart (log probabilities) in place."""
+    starts, run_lhs, _ = _lhs_runs(bin_lhs)
     for length in range(1, n + 1):
         for i in range(n - length + 1):
             j = i + length
             base = np.full(n_syms, NEG_INF)
             if length == 1:
                 base[term_ids[i]] = 0.0
-            for r in range(n_bin):
-                a, b, c = bin_lhs[r], bin_r1[r], bin_r2[r]
-                w = bin_lp[r]
-                for m in range(i + 1, j):
-                    lb = inside[i, m, b]
-                    if lb == NEG_INF:
-                        continue
-                    rc = inside[m, j, c]
-                    if rc == NEG_INF:
-                        continue
-                    cand = w + lb + rc
-                    cur_v = base[a]
-                    if cur_v == NEG_INF:
-                        base[a] = cand
-                    elif cand > cur_v:
-                        base[a] = cand + math.log1p(math.exp(cur_v - cand))
-                    else:
-                        base[a] = cur_v + math.log1p(math.exp(cand - cur_v))
+            elif bin_lhs.shape[0]:
+                cand = _split_scores(inside, i, j, bin_r1, bin_r2, bin_lp)
+                base[run_lhs] = np.logaddexp.reduceat(np.logaddexp.reduce(cand, axis=0), starts)
             # Solve I = base + sum_unary by Jacobi iteration; exact in
             # finitely many passes on acyclic unary graphs.
-            cur = base.copy()
+            cur = base
             for _ in range(max_unary_passes):
                 nxt = base.copy()
-                for u in range(n_un):
-                    a, b = un_lhs[u], un_child[u]
-                    if cur[b] != NEG_INF:
-                        cand = un_lp[u] + cur[b]
-                        cur_v = nxt[a]
-                        if cur_v == NEG_INF:
-                            nxt[a] = cand
-                        elif cand > cur_v:
-                            nxt[a] = cand + math.log1p(math.exp(cur_v - cand))
-                        else:
-                            nxt[a] = cur_v + math.log1p(math.exp(cand - cur_v))
-                delta = 0.0
-                for s in range(n_syms):
-                    if nxt[s] != cur[s]:
-                        if cur[s] == NEG_INF or abs(nxt[s] - cur[s]) > tol:
-                            d = 1.0
-                        else:
-                            d = 0.0
-                        if d > delta:
-                            delta = d
+                np.logaddexp.at(nxt, un_lhs, un_lp + cur[un_child])
+                moved = np.flatnonzero(nxt != cur)
+                done = not (np.isneginf(cur[moved]).any()
+                            or (np.abs(nxt[moved] - cur[moved]) > tol).any())
                 cur = nxt
-                if delta == 0.0:
+                if done:
                     break
-            for s in range(n_syms):
-                inside[i, j, s] = cur[s]
-
+            inside[i, j] = cur

@@ -51,6 +51,8 @@ def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
     binarized = binarize_pcfg(model)
     syms = sorted(binarized.symbols | {binarized.start})
     ids = {s: i for i, s in enumerate(syms)}
+    # Sorted by lhs, as symbol ids are: each lhs owns one run of binary
+    # rules, which the kernels reduce over.
     bin_rules = sorted(r for r in binarized.rules if len(r.rhs) == 2)
     un_rules = sorted(r for r in binarized.rules if len(r.rhs) == 1)
     return CompiledPcfg(

@@ -34,6 +34,7 @@ from .treebank import (
 )
 
 NO_PARSE = "-NOPARSE-"
+DEFAULT_BEAM = 100
 
 
 class UsageError(ValueError):
@@ -144,9 +145,13 @@ def _resolve_variant(args, kind: str) -> None:
     """The model kind picks the parser: the chart for a pcfg, the
     left-corner beam for plcg and delta models."""
     if kind == "pcfg":
-        if args.variant is not None or args.n_best > 1:
-            raise UsageError("--variant and --n-best need a plcg or delta model, got pcfg")
-    elif args.variant is None:
+        if args.variant is not None or args.beam is not None or args.n_best > 1:
+            raise UsageError("--variant, --beam and --n-best need a plcg or delta "
+                             "model, got pcfg")
+        return
+    if args.beam is None:
+        args.beam = DEFAULT_BEAM
+    if args.variant is None:
         args.variant = "delta" if kind == "delta" else "base"
     elif args.variant == "delta" and kind != "delta":
         raise UsageError("--variant delta needs a delta model, got %s" % kind)
@@ -280,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS, default=None,
                    help="left-corner machine variant (default: delta for a delta "
                         "model, else base; plcg and delta models only)")
-    p.add_argument("--beam", type=int, default=100, metavar="K", help="beam width")
+    p.add_argument("--beam", type=int, default=None, metavar="K",
+                   help="beam width (default %d; plcg and delta models only)" % DEFAULT_BEAM)
     p.add_argument("--n-best", type=int, default=1, metavar="N")
     p.set_defaults(func=cmd_parse)
 
@@ -306,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    if getattr(args, "beam", 1) < 1:
+    beam = getattr(args, "beam", None)
+    if beam is not None and beam < 1:
         raise UsageError("--beam must be >= 1")
     if getattr(args, "n_best", 1) < 1:
         raise UsageError("--n-best must be >= 1")

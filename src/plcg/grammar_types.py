@@ -71,29 +71,6 @@ class PcfgModel:
         return syms
 
 
-def left_corner_closure(rules: Iterable[Rule], extra: Iterable[str] = ()) -> dict[str, frozenset[str]]:
-    """For each symbol, the reflexive-transitive set of its possible left
-    corners under the given rule set."""
-    first: dict[str, set[str]] = {}
-    syms: set[str] = set(extra)
-    for rule in rules:
-        first.setdefault(rule.lhs, set()).add(rule.rhs[0])
-        syms.add(rule.lhs)
-        syms.update(rule.rhs)
-    closure: dict[str, frozenset[str]] = {}
-    for sym in syms:
-        seen = {sym}
-        frontier = [sym]
-        while frontier:
-            nxt = frontier.pop()
-            for corner in first.get(nxt, ()):
-                if corner not in seen:
-                    seen.add(corner)
-                    frontier.append(corner)
-        closure[sym] = frozenset(seen)
-    return closure
-
-
 @dataclass
 class PlcgModel:
     """The three conditional tables of a probabilistic left-corner grammar.
@@ -107,19 +84,8 @@ class PlcgModel:
     att_counts: dict[tuple[str, str], tuple[int, int]]
     proj_counts: dict[tuple[str, str], dict[Rule, int]]
     start: str
-    lc_closure: dict[str, frozenset[str]] = field(default_factory=dict)
     # Move tables per decision point, built by lc_parser on first use.
     move_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.lc_closure:
-            self.lc_closure = left_corner_closure(self.all_rules(), [self.start])
-
-    def all_rules(self) -> set[Rule]:
-        out: set[Rule] = set()
-        for dist in self.proj_counts.values():
-            out.update(dist)
-        return out
 
     def p_shift(self, lc: str, gc: str) -> float:
         dist = self.shift_counts.get(gc)
@@ -154,9 +120,6 @@ class PlcgModel:
             return {}
         total = sum(dist.values())
         return {lc: c / total for lc, c in dist.items()}
-
-    def is_possible_corner(self, corner: str, gc: str) -> bool:
-        return corner in self.lc_closure.get(gc, frozenset((gc,)))
 
 
 # Sentinel rule standing for a bare attach of a shifted terminal in the

@@ -105,8 +105,6 @@ def _lc_moves(model: PlcgModel, lc: str, gc: str) -> list:
     if p_att > 0.0:
         out.append((_ATTACH, 2, (), math.log(p_att)))
     for rule, p_rule in model.projections(lc, gc).items():
-        if not model.is_possible_corner(rule.lhs, gc):
-            continue
         p = (1.0 - p_att) * p_rule
         if p != 0.0:
             out.append(_project(rule, False, math.log(p)))

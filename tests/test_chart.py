@@ -1,35 +1,43 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from conftest import t
+from plcg import _kernels
 from plcg.chart import (
     TooManyParsesError,
     UnaryCycleError,
+    compile_pcfg,
     enumerate_parses,
     sentence_probability,
     viterbi_parse,
 )
-from plcg.grammar_types import PcfgModel, Rule
+from plcg.corpus import generate_corpus
+from plcg.grammar_types import NEG_INF, PcfgModel, Rule
 from plcg.induction import induce_pcfg, pcfg_tree_log_prob
+from plcg.treebank import PreprocessOptions, leaves, preprocess_corpus, to_pos_tree
 
 
 def model_from(counts, start="S"):
     return PcfgModel({Rule(l, tuple(r)): c for (l, r), c in counts.items()}, start)
 
 
+PP_COUNTS = {
+    ("S", ("NP", "VP")): 10,
+    ("NP", ("N",)): 6,
+    ("NP", ("NP", "PP")): 4,
+    ("VP", ("V", "NP")): 7,
+    ("VP", ("VP", "PP")): 3,
+    ("PP", ("P", "NP")): 10,
+}
+
+
 @pytest.fixture
 def pp_model():
     """Hand-set 2-way PP attachment ambiguity: high attach wins."""
-    return model_from({
-        ("S", ("NP", "VP")): 10,
-        ("NP", ("N",)): 6,
-        ("NP", ("NP", "PP")): 4,
-        ("VP", ("V", "NP")): 7,
-        ("VP", ("VP", "PP")): 3,
-        ("PP", ("P", "NP")): 10,
-    })
+    return model_from(PP_COUNTS)
 
 
 class TestViterbi:
@@ -159,3 +167,108 @@ def test_all_sequences_agree_with_enumeration(pp_model):
             else:
                 assert best is not None
                 assert math.exp(best[1]) == pytest.approx(parses[0][1])
+
+
+def scalar_viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
+                        un_lhs, un_child, un_lp, best, back_op, back_split):
+    """Reference for ``_kernels.viterbi_fill``: one rule and one split at a
+    time, updating a cell only on a strict improvement."""
+    n_bin = bin_lhs.shape[0]
+    n_un = un_lhs.shape[0]
+    for i in range(n):
+        best[i, i + 1, term_ids[i]] = 0.0
+    for length in range(1, n + 1):
+        for i in range(n - length + 1):
+            j = i + length
+            if length > 1:
+                for r in range(n_bin):
+                    a, b, c = bin_lhs[r], bin_r1[r], bin_r2[r]
+                    w = bin_lp[r]
+                    for m in range(i + 1, j):
+                        lb = best[i, m, b]
+                        if lb == NEG_INF:
+                            continue
+                        rc = best[m, j, c]
+                        if rc == NEG_INF:
+                            continue
+                        cand = w + lb + rc
+                        if cand > best[i, j, a]:
+                            best[i, j, a] = cand
+                            back_op[i, j, a] = r
+                            back_split[i, j, a] = m
+            changed = True
+            while changed:
+                changed = False
+                for u in range(n_un):
+                    a, b = un_lhs[u], un_child[u]
+                    lb = best[i, j, b]
+                    if lb == NEG_INF:
+                        continue
+                    cand = un_lp[u] + lb
+                    if cand > best[i, j, a]:
+                        best[i, j, a] = cand
+                        back_op[i, j, a] = -2 - u
+                        back_split[i, j, a] = -1
+                        changed = True
+
+
+def fill_tables(fill, tags, g):
+    n, n_syms = len(tags), len(g.syms)
+    best = np.full((n + 1, n + 1, n_syms), NEG_INF)
+    back_op = np.full(best.shape, -1, dtype=np.int64)
+    back_split = np.full(best.shape, -1, dtype=np.int64)
+    terms = np.array([g.sym_ids[x] for x in tags], dtype=np.int64)
+    fill(n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
+         g.un_lhs, g.un_child, g.un_lp, best, back_op, back_split)
+    return best, back_op, back_split
+
+
+def tie_model():
+    # Two E rules of equal probability, and over "c c c" both splits score
+    # log(1/2) + log(1/2) + log(1/2) exactly: four tied candidates for E.
+    return model_from({
+        ("E", ("F", "G")): 1, ("E", ("G", "F")): 1,
+        ("F", ("c",)): 1, ("F", ("c", "c")): 1,
+        ("G", ("c",)): 1, ("G", ("c", "c")): 1,
+    }, start="E")
+
+
+def unary_cycle_model():
+    # A -> B -> A is a unary 2-cycle above the chain S -> A.
+    return model_from({
+        ("S", ("A",)): 2, ("S", ("S", "S")): 1,
+        ("A", ("B",)): 1, ("A", ("a",)): 3,
+        ("B", ("A",)): 1, ("B", ("b",)): 1,
+    })
+
+
+def generated_corpus_case():
+    pre, _ = preprocess_corpus(generate_corpus(500, seed=7), PreprocessOptions())
+    trees = [to_pos_tree(x) for x in pre]
+    return induce_pcfg(trees), [leaves(x) for x in trees[:30]]
+
+
+ORACLE_CASES = {
+    "pp": lambda: (model_from(PP_COUNTS), [["N", "V", "N", "P", "N", "P", "N"],
+                                          ["N", "V", "N"], ["P", "N"]]),
+    "ties": lambda: (tie_model(), [["c", "c", "c"], ["c", "c"], ["c"] * 5]),
+    "unary-cycle": lambda: (unary_cycle_model(), [["a"], ["b"], ["a", "b", "a"], ["b", "b"]]),
+    "generated": generated_corpus_case,
+}
+
+
+class TestFillOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_tables_match_scalar_loop(self, case):
+        model, sentences = ORACLE_CASES[case]()
+        g = compile_pcfg(model)
+        for tags in sentences:
+            got = fill_tables(_kernels.viterbi_fill, tags, g)
+            want = fill_tables(scalar_viterbi_fill, tags, g)
+            for name, a, b in zip(("best", "back_op", "back_split"), got, want):
+                assert np.array_equal(a, b), (case, tags, name)
+
+    def test_ties_go_to_first_rule_then_first_split(self):
+        tree, lp = viterbi_parse(["c", "c", "c"], tie_model())
+        assert tree == t("(E (F c) (G c c))")
+        assert lp == 3 * math.log(0.5)

@@ -207,7 +207,8 @@ class TestParse:
         models = {kind: self.induce(workspace, capsys, kind) for kind in ("plcg", "pcfg")}
         for kind, flags in [("plcg", ["--variant", "delta"]),
                             ("pcfg", ["--variant", "base"]),
-                            ("pcfg", ["--n-best", "2"])]:
+                            ("pcfg", ["--n-best", "2"]),
+                            ("pcfg", ["--beam", "1"])]:
             argv = ["parse", str(models[kind]), str(workspace / "tags.txt")] + flags
             code, out, err = run(capsys, argv)
             assert code == 1 and flags[0] in err and out == "", (kind, flags)
