@@ -5,6 +5,12 @@ categories.  A shift is forced exactly when a sought category is on top.
 With the compose flag, the attach decision is taken at projection time and
 the matching goal is popped immediately, which bounds the stack on purely
 left- or right-branching input.
+
+:func:`derivation_events` is the one walk from a tree to its gold moves: a
+loop over an explicit machine stack, so tree depth is not bounded by Python
+recursion, that yields each move with its (left corner, goal, depth)
+context.  :func:`replay` is its inverse: it runs a move sequence on the same
+machine and rebuilds the tree.
 """
 
 from __future__ import annotations
@@ -50,29 +56,7 @@ class ReplayError(ValueError):
 def lc_derivation(t: Tree, compose: bool = False) -> list[LcMove]:
     """The unique left-corner move sequence reconstructing ``t`` from the
     goal ``t.label``."""
-    out: list[LcMove] = []
-    _derive(t, out, compose)
-    return out
-
-
-def _derive(node: Tree, out: list[LcMove], compose: bool) -> None:
-    if node.is_leaf:
-        out.append(LcMove.shift(node.label))
-        out.append(LcMove.attach())
-        return
-    # Left spine down to the terminal corner.
-    spine = [node]
-    while not spine[-1].children[0].is_leaf:
-        spine.append(spine[-1].children[0])
-    out.append(LcMove.shift(spine[-1].children[0].label))
-    for nd in reversed(spine):
-        rule = Rule(nd.label, tuple(c.label for c in nd.children))
-        is_top = nd is node
-        out.append(LcMove.project(rule, compose=compose and is_top))
-        for sibling in nd.children[1:]:
-            _derive(sibling, out, compose)
-    if not compose:
-        out.append(LcMove.attach())
+    return [ev.move for ev in derivation_events(t, compose=compose)]
 
 
 class _Node:
@@ -151,32 +135,36 @@ class Event(NamedTuple):
 
 
 def derivation_events(t: Tree, compose: bool = False) -> Iterator[Event]:
-    """Replay the gold derivation symbolically, yielding each move with the
-    (left corner, goal, stack depth) context it was taken in."""
-    # Entries: ("s", cat) or ("f", cat).
-    stack: list[tuple[str, str]] = [("s", t.label)]
-    for mv in lc_derivation(t, compose=compose):
-        if mv.kind == "shift":
-            gc = stack[-1][1]
-            yield Event(mv, None, gc, len(stack))
-            stack.append(("f", mv.symbol))
-        elif mv.kind == "project":
-            lc = stack[-1][1]
-            gc = stack[-2][1]
-            yield Event(mv, lc, gc, len(stack) - 1)
+    """Walk the gold derivation of ``t`` on the stack machine, yielding each
+    move with the (left corner, goal, stack depth) context it is taken in."""
+    # The machine stack.  A sought entry is the subtree still to derive; a
+    # found entry (spine, i) is the corner spine[i] on the left spine of its
+    # goal spine[0], which is the sought entry beneath it.
+    stack: list = [t]
+    while stack:
+        top = stack[-1]
+        if isinstance(top, Tree):
+            spine = [top]
+            while spine[-1].children:
+                spine.append(spine[-1].children[0])
+            yield Event(LcMove.shift(spine[-1].label), None, top.label, len(stack))
+            stack.append((spine, len(spine) - 1))
+            continue
+        spine, i = stack.pop()
+        goal = spine[0].label
+        if i == 0:
+            yield Event(LcMove.attach(), goal, goal, len(stack))
             stack.pop()
-            if mv.compose:
-                stack.pop()
-            else:
-                stack.append(("f", mv.rule.lhs))
-            for sym in reversed(mv.rule.rhs[1:]):
-                stack.append(("s", sym))
-        else:  # attach
-            lc = stack[-1][1]
-            gc = stack[-2][1]
-            yield Event(mv, lc, gc, len(stack) - 1)
+            continue
+        node = spine[i - 1]
+        composed = compose and i == 1
+        rule = Rule(node.label, tuple(c.label for c in node.children))
+        yield Event(LcMove.project(rule, composed), spine[i].label, goal, len(stack))
+        if composed:
             stack.pop()
-            stack.pop()
+        else:
+            stack.append((spine, i - 1))
+        stack.extend(reversed(node.children[1:]))
 
 
 def stack_delta(move: LcMove) -> int:

@@ -28,6 +28,20 @@ class Rule:
         return "%s -> %s" % (self.lhs, " ".join(self.rhs))
 
 
+def _prob(dist: dict | None, key) -> float:
+    """Relative frequency of ``key`` in a count table; 0 when unseen."""
+    c = dist.get(key, 0) if dist else 0
+    return c / sum(dist.values()) if c else 0.0
+
+
+def _normalize(dist: dict | None) -> dict:
+    """A count table as relative frequencies; empty when there is none."""
+    if not dist:
+        return {}
+    total = sum(dist.values())
+    return {k: c / total for k, c in dist.items()}
+
+
 @dataclass
 class PcfgModel:
     """Relative-frequency PCFG: counts per local tree, conditioned on the
@@ -88,11 +102,7 @@ class PlcgModel:
     move_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def p_shift(self, lc: str, gc: str) -> float:
-        dist = self.shift_counts.get(gc)
-        if not dist:
-            return 0.0
-        c = dist.get(lc, 0)
-        return c / sum(dist.values()) if c else 0.0
+        return _prob(self.shift_counts.get(gc), lc)
 
     def p_att(self, lc: str, gc: str) -> float:
         if lc != gc:
@@ -101,25 +111,13 @@ class PlcgModel:
         return att / total if total else 0.0
 
     def p_lc(self, rule: Rule, lc: str, gc: str) -> float:
-        dist = self.proj_counts.get((lc, gc))
-        if not dist:
-            return 0.0
-        c = dist.get(rule, 0)
-        return c / sum(dist.values()) if c else 0.0
+        return _prob(self.proj_counts.get((lc, gc)), rule)
 
     def projections(self, lc: str, gc: str) -> dict[Rule, float]:
-        dist = self.proj_counts.get((lc, gc))
-        if not dist:
-            return {}
-        total = sum(dist.values())
-        return {rule: c / total for rule, c in dist.items()}
+        return _normalize(self.proj_counts.get((lc, gc)))
 
     def shift_dist(self, gc: str) -> dict[str, float]:
-        dist = self.shift_counts.get(gc)
-        if not dist:
-            return {}
-        total = sum(dist.values())
-        return {lc: c / total for lc, c in dist.items()}
+        return _normalize(self.shift_counts.get(gc))
 
 
 # Sentinel rule standing for a bare attach of a shifted terminal in the
@@ -148,25 +146,13 @@ class DeltaModel:
         return self.base.start
 
     def p_delta(self, delta: int, depth: int, lc: str, gc: str) -> float:
-        dist = self.delta_counts.get((depth, lc, gc))
-        if not dist:
-            return 0.0
-        c = dist.get(delta, 0)
-        return c / sum(dist.values()) if c else 0.0
+        return _prob(self.delta_counts.get((depth, lc, gc)), delta)
 
     def rule_dist(self, lc: str, gc: str, depth: int, delta: int) -> dict[Rule, float]:
-        dist = self.rule_counts.get((lc, gc, depth, delta))
-        if not dist:
-            return {}
-        total = sum(dist.values())
-        return {rule: c / total for rule, c in dist.items()}
+        return _normalize(self.rule_counts.get((lc, gc, depth, delta)))
 
     def delta_dist(self, depth: int, lc: str, gc: str) -> dict[int, float]:
-        dist = self.delta_counts.get((depth, lc, gc))
-        if not dist:
-            return {}
-        total = sum(dist.values())
-        return {d: c / total for d, c in dist.items()}
+        return _normalize(self.delta_counts.get((depth, lc, gc)))
 
 
 Model = PcfgModel | PlcgModel | DeltaModel

@@ -175,22 +175,16 @@ def _fold_once(t: Tree, mode: UnaryMode) -> Tree:
 
 def fold_unaries(t: Tree, mode: UnaryMode) -> Tree:
     """Eliminate unary branches by hoisting the child (fold_up) or relabelling
-    it with the parent (fold_down), applied to a fixpoint.  The unary branch
-    under an existing root wrapper is left alone."""
+    it with the parent (fold_down).  One pass reaches the fixpoint, because
+    it folds the children first.  The unary branch under an existing root
+    wrapper is left alone."""
     if isinstance(mode, str):
         mode = UnaryMode(mode)
     if mode is UnaryMode.KEEP:
         return t
-
-    def fold(node: Tree) -> Tree:
-        prev = None
-        while prev != node:
-            prev, node = node, _fold_once(node, mode)
-        return node
-
     if t.label == ROOT_LABEL and len(t.children) == 1:
-        return Tree(t.label, (fold(t.children[0]),))
-    return fold(t)
+        return Tree(t.label, (_fold_once(t.children[0], mode),))
+    return _fold_once(t, mode)
 
 
 def preprocess(t: Tree, opts: PreprocessOptions) -> Tree:

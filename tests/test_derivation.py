@@ -5,6 +5,7 @@ import pytest
 from conftest import t
 from plcg.corpus import random_tree
 from plcg.derivation import (
+    Event,
     LcMove,
     ReplayError,
     derivation_events,
@@ -15,6 +16,64 @@ from plcg.derivation import (
 )
 from plcg.grammar_types import Rule
 from plcg.transforms import binarize_tree
+from plcg.treebank import Tree
+
+
+def reference_events(t, compose=False):
+    """Oracle for derivation_events, walked in two passes: list the moves by
+    recursion over the tree, then run a symbolic stack over them to recover
+    each move's (left corner, goal, depth) context."""
+    moves = []
+
+    def derive(node):
+        if node.is_leaf:
+            moves.append(LcMove.shift(node.label))
+            moves.append(LcMove.attach())
+            return
+        spine = [node]
+        while not spine[-1].children[0].is_leaf:
+            spine.append(spine[-1].children[0])
+        moves.append(LcMove.shift(spine[-1].children[0].label))
+        for nd in reversed(spine):
+            rule = Rule(nd.label, tuple(c.label for c in nd.children))
+            moves.append(LcMove.project(rule, compose=compose and nd is node))
+            for sibling in nd.children[1:]:
+                derive(sibling)
+        if not compose:
+            moves.append(LcMove.attach())
+
+    derive(t)
+    stack = [("s", t.label)]
+    for mv in moves:
+        if mv.kind == "shift":
+            gc = stack[-1][1]
+            yield Event(mv, None, gc, len(stack))
+            stack.append(("f", mv.symbol))
+        elif mv.kind == "project":
+            lc = stack[-1][1]
+            gc = stack[-2][1]
+            yield Event(mv, lc, gc, len(stack) - 1)
+            stack.pop()
+            if mv.compose:
+                stack.pop()
+            else:
+                stack.append(("f", mv.rule.lhs))
+            for sym in reversed(mv.rule.rhs[1:]):
+                stack.append(("s", sym))
+        else:  # attach
+            lc = stack[-1][1]
+            gc = stack[-2][1]
+            yield Event(mv, lc, gc, len(stack) - 1)
+            stack.pop()
+            stack.pop()
+
+
+def chain(depth, right):
+    """An S chain ``depth`` levels above (S a), branching right or left."""
+    node = Tree("S", (Tree("a"),))
+    for _ in range(depth):
+        node = Tree("S", (Tree("a"), node) if right else (node, Tree("a")))
+    return node
 
 
 class TestDerivation:
@@ -113,11 +172,25 @@ class TestEvents:
             if ev.move.kind == "attach":
                 assert ev.lc == ev.gc
 
-    def test_event_moves_equal_derivation(self):
-        tree = t("(S (NP (DT a) (NN b)) (VP c))")
-        for compose in (False, True):
-            evs = list(derivation_events(tree, compose=compose))
-            assert [ev.move for ev in evs] == lc_derivation(tree, compose=compose)
+    def test_events_equal_reference_walk(self, rng):
+        trees = [t("(S (NP (DT a) (NN b)) (VP c))"), t("(S a b)"), t("(NN dog)")]
+        trees += [random_tree(rng) for _ in range(200)]
+        for tree in trees:
+            for form in (tree, binarize_tree(tree)):
+                for compose in (False, True):
+                    assert list(derivation_events(form, compose=compose)) == list(
+                        reference_events(form, compose=compose)
+                    )
+
+    def test_deep_chains_do_not_recurse(self):
+        # Counts only: Tree equality, write_tree and replay still recurse.
+        for right, composed_attaches in ((True, 0), (False, 3000)):
+            tree = chain(3000, right)
+            for compose, attaches in ((False, 3001), (True, composed_attaches)):
+                kinds = [ev.move.kind for ev in derivation_events(tree, compose=compose)]
+                counts = (kinds.count("shift"), kinds.count("project"), kinds.count("attach"))
+                assert counts == (3001, 3001, attaches)
+            assert max_stack_depth(tree, compose=True) <= 4
 
     def test_depth_tracks_stack(self, rng):
         # Depth at each decision plus the cumulative deltas must agree.

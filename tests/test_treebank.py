@@ -3,6 +3,7 @@ import io
 import pytest
 
 from conftest import t
+from plcg.corpus import random_tree
 from plcg.treebank import (
     PreprocessOptions,
     Tree,
@@ -148,9 +149,14 @@ class TestUnaryFolding:
         folded = fold_unaries(t("(X (S (NP (NNP a)) (VP (VB b))))"), UnaryMode.FOLD_DOWN)
         assert folded == t("(X (NP a) (VP b))")
 
-    def test_fold_runs_to_fixpoint(self):
+    def test_fold_runs_to_fixpoint(self, rng):
         folded = fold_unaries(t("(A (B (C (D x) (E y))))"), UnaryMode.FOLD_UP)
         assert folded == t("(C (D x) (E y))")
+        for _ in range(200):
+            tree = random_tree(rng, max_branch=2)
+            for mode in (UnaryMode.FOLD_UP, UnaryMode.FOLD_DOWN):
+                once = fold_unaries(tree, mode)
+                assert fold_unaries(once, mode) == once
 
     def test_preterminals_never_folded(self):
         tree = t("(NN dog)")
