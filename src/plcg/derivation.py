@@ -60,14 +60,21 @@ def lc_derivation(t: Tree, compose: bool = False) -> list[LcMove]:
 
 
 class _Node:
-    __slots__ = ("label", "children")
+    __slots__ = ("label", "children", "tree")
 
     def __init__(self, label: str):
         self.label = label
         self.children: list["_Node"] = []
 
     def freeze(self) -> Tree:
-        return Tree(self.label, tuple(c.freeze() for c in self.children))
+        """The tree below this node, built children first over a
+        breadth-first list, so depth is not bounded by Python recursion."""
+        order = [self]
+        for node in order:
+            order.extend(node.children)
+        for node in reversed(order):
+            node.tree = Tree(node.label, tuple([c.tree for c in node.children]))
+        return self.tree
 
 
 def replay(moves: Sequence[LcMove], start: str) -> Tree:

@@ -12,10 +12,13 @@ first use and kept on the model.  The variants differ only in the tables:
 
 One beam per word boundary: states that have consumed i words compete,
 attach/project moves are expanded to a fixpoint within the boundary, and
-the k best states that can shift the next tag shift it.  The expansion
-looks one tag ahead: it reads tables filtered by the next tag, so it builds
-only the states that can still shift that tag.  Move lists are held in a
-prefix-sharing store so states are cheap to branch.
+the states of the k best distinct stacks that can shift the next tag shift
+it.  Every move is conditioned on the stack alone, so states with equal
+stacks have equal futures: the beam recombines them, holding and expanding
+only the best ``n_best`` derivations per stack (Huang & Chiang 2005).  The
+expansion looks one tag ahead: it reads tables filtered by the next tag, so
+it builds only the states that can still shift that tag.  Move lists are
+held in a prefix-sharing store so states are cheap to branch.
 """
 
 from __future__ import annotations
@@ -208,10 +211,15 @@ def successors(
 def _closure(
     states: list[ParserState], model, store: MoveStore, variant: str,
     tag: Optional[str] = None, state_limit: Optional[int] = None,
+    keep: Optional[int] = None,
 ) -> list[ParserState]:
     """Expand attach/project moves to a fixpoint within a word boundary, for
     at most ``MAX_NONSHIFT`` rounds.  With the next ``tag``, build only the
-    states that can still shift it."""
+    states that can still shift it.  With ``keep``, hold only the ``keep``
+    best states per stack, the earlier one on a tie, and return those;
+    without, return every derivation."""
+    if keep is not None:
+        return _recombined_closure(states, model, store, variant, tag, keep)
     out = list(states)
     frontier = list(states)
     rounds = 0
@@ -228,6 +236,53 @@ def _closure(
     return out
 
 
+def _recombined_closure(
+    states: list[ParserState], model, store: MoveStore, variant: str,
+    tag: Optional[str], keep: int,
+) -> list[ParserState]:
+    """The closure holding the ``keep`` best states per stack.  A state
+    enters only if it beats the worst one held for its stack, and a state
+    pushed out before its turn is not expanded.  Probabilities are at most
+    one, so a unary cycle cannot beat the state it started from."""
+    held: dict = {}
+    offered, rounds = list(states), 0
+    while True:
+        frontier = []
+        if keep == 1:
+            setdefault = held.setdefault
+            for st in offered:
+                old = setdefault(st.stack, st)
+                if old is not st:
+                    if st.log_prob <= old.log_prob:
+                        continue
+                    held[st.stack] = st
+                frontier.append(st)
+        else:
+            for st in offered:
+                group = held.setdefault(st.stack, [])
+                if len(group) == keep:
+                    if st.log_prob <= group[-1].log_prob:
+                        continue
+                    group.pop()
+                i = len(group)
+                while i and group[i - 1].log_prob < st.log_prob:
+                    i -= 1
+                group.insert(i, st)
+                frontier.append(st)
+        if not frontier or rounds == MAX_NONSHIFT:
+            break
+        offered = []
+        for st in frontier:
+            stack = st.stack
+            if stack and stack[-1][0] == FOUND and (
+                    held[stack] is st if keep == 1 else st in held[stack]):
+                offered += successors(st, model, store, variant, tag)
+        rounds += 1
+    if keep == 1:
+        return list(held.values())
+    return [st for group in held.values() for st in group]
+
+
 class TooManyDerivationsError(ValueError):
     pass
 
@@ -242,10 +297,13 @@ def _rank(state: ParserState) -> tuple:
 
 def _complete_states(
     tags: Sequence[str], model, store: MoveStore, variant: str, k: Optional[int] = None,
+    n_best: int = 1,
 ) -> list[ParserState]:
-    """Complete states over ``tags``, best first.  With ``k``, only the ``k``
-    best states that can shift the next tag survive each word boundary;
-    without, a closure may build at most ``STATE_LIMIT`` states."""
+    """Complete states over ``tags``, best first.  With ``k``, the closures
+    hold the ``n_best`` best states per stack, and only the states of the
+    ``k`` best stacks that can shift the next tag survive each word
+    boundary; without, every derivation is kept, and a closure may build at
+    most ``STATE_LIMIT`` states."""
     if not tags:
         raise ValueError("empty tag sequence")
     if variant not in VARIANTS:
@@ -254,21 +312,39 @@ def _complete_states(
         raise TypeError("delta variant needs a DeltaModel")
     base = model.base if isinstance(model, DeltaModel) else model
     state_limit = STATE_LIMIT if k is None else None
+    keep = None if k is None else n_best
     beam = [initial_state(model.start)]
     for tag in tags:
-        pool = _closure(beam, model, store, variant, tag, state_limit)
+        pool = _closure(beam, model, store, variant, tag, state_limit, keep)
         # The closure built only states that can still shift the tag; found
         # corners on top, carried in or built on the way, are dropped here.
         shifts = _shift_table(base, tag)
         pool = [st for st in pool if st.stack and st.stack[-1] in shifts]
         if k is not None:
             pool.sort(key=_rank)
-            del pool[k:]
+            if n_best == 1:
+                del pool[k:]
+            else:
+                pool = _best_stacks(pool, k)
         beam = [shift_successor(st, tag, model, store) for st in pool]
         if not beam:
             return []
-    final = _closure(beam, model, store, variant, state_limit=state_limit)
+    final = _closure(beam, model, store, variant, state_limit=state_limit, keep=keep)
     return sorted((st for st in final if st.complete), key=_rank)
+
+
+def _best_stacks(pool: list[ParserState], k: int) -> list[ParserState]:
+    """The states of the ``k`` best distinct stacks of ``pool``, which is
+    sorted best first."""
+    top: set = set()
+    out = []
+    for st in pool:
+        if st.stack not in top:
+            if len(top) == k:
+                continue
+            top.add(st.stack)
+        out.append(st)
+    return out
 
 
 def beam_parse(
@@ -278,14 +354,17 @@ def beam_parse(
     n_best: int = 1,
     variant: str = "base",
 ) -> list[tuple[Tree, float]]:
-    """Up to ``n_best`` complete parses, best first.  Not guaranteed optimal
-    unless ``k`` exceeds the number of reachable states."""
+    """Up to ``n_best`` complete parses, best first.  The beam keeps the
+    ``k`` best distinct stacks at each word boundary and the best ``n_best``
+    derivations per stack.  Not guaranteed optimal unless ``k`` exceeds the
+    number of reachable stacks."""
     if k < 1 or n_best < 1:
         raise ValueError("k and n_best must be >= 1")
     store = MoveStore()
-    complete = _complete_states(tags, model, store, variant, k=k)
+    complete = _complete_states(tags, model, store, variant, k=k, n_best=n_best)
     # Distinct derivations of one tree only arise through binarization;
-    # after debinarizing, keep the best score per tree.
+    # after debinarizing, keep the best score per tree, so the list may be
+    # shorter than n_best.
     out: list[tuple[Tree, float]] = []
     seen: set[str] = set()
     for st in complete:

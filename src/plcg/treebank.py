@@ -123,9 +123,23 @@ def read_trees(source: str | TextIO) -> list[Tree]:
 
 
 def write_tree(t: Tree) -> str:
-    if t.is_leaf:
-        return t.label
-    return "(%s %s)" % (t.label, " ".join(write_tree(c) for c in t.children))
+    """One-line bracketed form, written from an explicit stack so depth is
+    not bounded by Python recursion."""
+    parts: list[str] = []
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif not node.children:
+            parts.append(node.label)
+        else:
+            parts.append("(" + node.label)
+            todo.append(")")
+            for c in reversed(node.children):
+                todo.append(c)
+                todo.append(" ")
+    return "".join(parts)
 
 
 def write_trees(trees: Iterable[Tree]) -> str:

@@ -16,7 +16,7 @@ from plcg.derivation import (
 )
 from plcg.grammar_types import Rule
 from plcg.transforms import binarize_tree
-from plcg.treebank import Tree
+from plcg.treebank import Tree, write_tree
 
 
 def reference_events(t, compose=False):
@@ -183,13 +183,16 @@ class TestEvents:
                     )
 
     def test_deep_chains_do_not_recurse(self):
-        # Counts only: Tree equality, write_tree and replay still recurse.
+        # Trees are compared as strings, because Tree equality recurses.
         for right, composed_attaches in ((True, 0), (False, 3000)):
             tree = chain(3000, right)
+            text = write_tree(tree)
             for compose, attaches in ((False, 3001), (True, composed_attaches)):
-                kinds = [ev.move.kind for ev in derivation_events(tree, compose=compose)]
+                moves = [ev.move for ev in derivation_events(tree, compose=compose)]
+                kinds = [mv.kind for mv in moves]
                 counts = (kinds.count("shift"), kinds.count("project"), kinds.count("attach"))
                 assert counts == (3001, 3001, attaches)
+                assert write_tree(replay(moves, tree.label)) == text
             assert max_stack_depth(tree, compose=True) <= 4
 
     def test_depth_tracks_stack(self, rng):

@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from conftest import t
 from plcg import lc_parser
-from plcg.corpus import generate_corpus
+from plcg.corpus import generate_corpus, random_tree
 from plcg.induction import (
     delta_tree_log_prob,
     induce_delta_model,
@@ -28,7 +29,14 @@ from plcg.lc_parser import (
 )
 from plcg.derivation import LcMove
 from plcg.transforms import binarize_corpus
-from plcg.treebank import PreprocessOptions, leaves, preprocess_corpus, to_pos_tree
+from plcg.treebank import (
+    PreprocessOptions,
+    Tree,
+    leaves,
+    preprocess_corpus,
+    to_pos_tree,
+    write_tree,
+)
 
 
 @pytest.fixture
@@ -39,6 +47,31 @@ def nested_model():
         t("(T c (S a))"),
         t("(T c (S (S a) b))"),
     ])
+
+
+@pytest.fixture
+def np_loop_model():
+    """One NP -> NP tree among six: every found NP can project NP again."""
+    return induce_plcg([
+        t("(S (NP DT NN) (VP VB (NP PRP)))"),
+        t("(S (NP (NP DT NN)) (VP VB))"),
+        t("(S (NP PRP) (VP VB))"),
+        t("(S (NP DT NN) (VP VB (NP DT NN)))"),
+        t("(S (NP PRP) (VP VB (NP PRP)))"),
+        t("(S (NP DT NN) (VP VB))"),
+    ])
+
+
+def sample_models(variant):
+    """Tag-level trees of ``generate_corpus(500, seed=7)`` and the model of
+    ``variant`` trained on them, with its base PLCG."""
+    trees, _ = preprocess_corpus(generate_corpus(500, seed=7), PreprocessOptions())
+    trees = [to_pos_tree(tree) for tree in trees]
+    if variant == "delta":
+        model = induce_delta_model(binarize_corpus(trees))
+        return trees, model, model.base
+    model = induce_plcg(trees)
+    return trees, model, model
 
 
 @pytest.fixture
@@ -140,15 +173,28 @@ class TestExhaustive:
 
 
 class TestBeam:
-    def test_oracle_equivalence_big_beam(self, ambiguous_corpus):
-        model = induce_plcg(ambiguous_corpus)
-        for tree in ambiguous_corpus:
-            tags = leaves(tree)
-            exact = exhaustive_lc_parse(tags, model)
-            beamed = beam_parse(tags, model, k=100000, n_best=1)
-            assert beamed
-            assert beamed[0][0] == exact[0][0]
-            assert beamed[0][1] == pytest.approx(exact[0][1], abs=1e-9)
+    def test_oracle_equivalence_big_beam(self, nested_model, ambiguous_corpus):
+        plcgs = [induce_plcg(ambiguous_corpus),
+                 induce_plcg(ambiguous_corpus + [t("(S (NP NN NN) (VP VB))")])]
+        slots = induce_plcg([t("(S (X%d A) C)" % i) for i in range(120)])
+        delta = induce_delta_model(binarize_corpus(ambiguous_corpus))
+        sentences = [leaves(tree) for tree in ambiguous_corpus] + [["NN", "NN", "VB"]]
+        cases = [(nested_model, "base", list(tags))
+                 for length in range(2, 6) for tags in itertools.product("abc", repeat=length)]
+        cases += [(plcg, "base", tags) for plcg in plcgs for tags in sentences]
+        cases += [(slots, "base", ["A", "C"])]
+        cases += [(delta, "delta", tags) for tags in sentences]
+        parsed = 0
+        for model, variant, tags in cases:
+            exact = exhaustive_lc_parse(tags, model, variant)
+            # Base derivations are distinct trees, so the n-best lists agree;
+            # delta's binarized derivations may share a tree.
+            n_best = 5 if variant == "base" else 1
+            beamed = beam_parse(tags, model, k=100000, n_best=n_best, variant=variant)
+            assert [(write_tree(tree), lp) for tree, lp in beamed] == [
+                (write_tree(tree), lp) for tree, lp in exact[:n_best]]
+            parsed += bool(exact)
+        assert parsed >= 10
 
     def test_monotone_in_beam_width(self, ambiguous_corpus):
         model = induce_plcg(ambiguous_corpus)
@@ -200,13 +246,7 @@ class TestBeam:
 class TestLookahead:
     @pytest.mark.parametrize("variant", ["base", "delta"])
     def test_closure_builds_only_states_that_can_shift_next_tag(self, variant):
-        trees, _ = preprocess_corpus(generate_corpus(500, seed=7), PreprocessOptions())
-        trees = [to_pos_tree(tree) for tree in trees]
-        if variant == "delta":
-            model = induce_delta_model(binarize_corpus(trees))
-            base = model.base
-        else:
-            model = base = induce_plcg(trees)
+        trees, model, base = sample_models(variant)
         dead = 0
         for tags in [leaves(tree) for tree in trees[:8]]:
             store = MoveStore()
@@ -242,17 +282,11 @@ class TestBounds:
         # The beam keeps k states a boundary and is not bounded by it.
         assert beam_parse(tags, model, k=100)
 
-    def test_unary_self_loop_closure_stops_after_max_nonshift_rounds(self, monkeypatch):
-        # One NP -> NP tree among six: every found NP can project NP again.
+    def test_unary_self_loop_closure_stops_after_max_nonshift_rounds(
+        self, np_loop_model, monkeypatch,
+    ):
+        model = np_loop_model
         gold = t("(S (NP DT NN) (VP VB (NP PRP)))")
-        model = induce_plcg([
-            gold,
-            t("(S (NP (NP DT NN)) (VP VB))"),
-            t("(S (NP PRP) (VP VB))"),
-            t("(S (NP DT NN) (VP VB (NP DT NN)))"),
-            t("(S (NP PRP) (VP VB (NP PRP)))"),
-            t("(S (NP DT NN) (VP VB))"),
-        ])
         best = beam_parse(leaves(gold), model, k=100)
         assert best and best[0][0] == gold
         for rounds in (lc_parser.MAX_NONSHIFT, 7):
@@ -262,6 +296,99 @@ class TestBounds:
             pool = _closure([found_np], model, store, "base", "VB")
             # Each round adds one move; the NP -> NP chain alone never ends.
             assert max(len(store.sequence(st.moves)) for st in pool) == rounds
+
+
+    def test_recombined_closure_leaves_unary_self_loop(self, np_loop_model):
+        # NP -> NP cannot beat the found NP it projects from, so the beam's
+        # closure stops after the one projection that can shift VB.
+        store = MoveStore()
+        found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), MoveStore.ROOT, 0.0)
+        pool = _closure([found_np], np_loop_model, store, "base", "VB", keep=1)
+        assert max(len(store.sequence(st.moves)) for st in pool) == 1
+        assert len(store) < 5 < lc_parser.MAX_NONSHIFT
+
+    def test_cyclic_unaries_close(self, monkeypatch):
+        # Random trees give unary cycles (S -> S, NP -> PP -> NP, ...); the
+        # unrecombined closure did not finish this sentence in 40 s.
+        rng = random.Random(0)
+        trees = [Tree("ROOT", (random_tree(rng),)) for _ in range(30)]
+        model = induce_plcg(trees)
+        tags = next(tags for tags in map(leaves, trees) if len(tags) == 3)
+        stores = []
+
+        class CountingStore(MoveStore):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        monkeypatch.setattr(lc_parser, "MoveStore", CountingStore)
+        parses = beam_parse(tags, model, k=100)
+        assert parses
+        tree, lp = parses[0]
+        assert lp == pytest.approx(plcg_tree_log_prob(tree, model))
+        (store,) = stores
+        assert len(store) < 100000
+
+
+class TestRecombination:
+    @pytest.fixture
+    def attachment_corpus(self):
+        """Attachment and compound ambiguity, so derivations meet on equal
+        stacks."""
+        return [
+            t("(S (NP PRP) (VP VB (NP DT NN) (PP IN (NP DT NN))))"),
+            t("(S (NP PRP) (VP VB (NP (NP DT NN) (PP IN (NP DT NN)))))"),
+            t("(S (NP PRP) (VP (VP VB (NP DT NN)) (PP IN (NP DT NN))))"),
+            t("(S (NP (NP NN) (NP NN)) (VP VB))"),
+            t("(S (NP NN NN) (VP VB (NP NN)))"),
+            t("(S (NP (NP DT NN) (PP IN (NP NN NN))) (VP VB))"),
+        ]
+
+    def test_closure_keeps_the_best_states_and_the_earlier_on_ties(self, nested_model):
+        # Equal sought stacks, carried in out of order; none can expand.
+        lps = [-2.0, -1.0, -3.0, -0.5, -1.0, -0.7]
+        states = [ParserState(((SOUGHT, "T"),), i, lp) for i, lp in enumerate(lps)]
+        for keep, handles in ((1, [3]), (2, [3, 5]), (3, [3, 5, 1]), (5, [3, 5, 1, 4, 0])):
+            held = _closure(states, nested_model, MoveStore(), "base", keep=keep)
+            assert sorted(st.moves for st in held) == sorted(handles)
+
+    @pytest.mark.parametrize("variant", ["base", "delta"])
+    def test_closure_holds_the_best_states_of_every_stack(self, variant, attachment_corpus):
+        trees, model, base = sample_models(variant)
+        cases = [(model, base, [leaves(tree) for tree in trees[:8]])]
+        if variant == "delta":
+            model = induce_delta_model(binarize_corpus(attachment_corpus))
+            base = model.base
+        else:
+            model = base = induce_plcg(attachment_corpus)
+        two_pps = ["PRP", "VB", "DT", "NN", "IN", "DT", "NN", "IN", "DT", "NN"]
+        cases.append((model, base, [leaves(tree) for tree in attachment_corpus] + [two_pps]))
+        shared = 0
+        for model, base, sentences in cases:
+            for tags in sentences:
+                store = MoveStore()
+                beam = [initial_state(model.start)]
+                for tag in tags:
+                    full = _closure(beam, model, store, variant, tag)
+                    scores: dict = {}
+                    for st in full:
+                        scores.setdefault(st.stack, []).append(st.log_prob)
+                    shared += len(full) - len(scores)
+                    # keep=1 is the beam's own path; keep=3 the n-best one.
+                    for keep in (1, 3):
+                        held: dict = {}
+                        for st in _closure(beam, model, store, variant, tag, keep=keep):
+                            held.setdefault(st.stack, []).append(st.log_prob)
+                        assert held.keys() == scores.keys()
+                        for stack, lps in scores.items():
+                            best = sorted(lps, reverse=True)[:keep]
+                            assert sorted(held[stack], reverse=True) == best
+                    shifts = _shift_table(base, tag)
+                    live = sorted((st for st in full if st.stack and st.stack[-1] in shifts),
+                                  key=lambda st: -st.log_prob)
+                    beam = [shift_successor(st, tag, model, store) for st in live[:20]]
+                assert beam
+        assert shared > 0
 
 
 class TestDeltaVariant:

@@ -1,19 +1,41 @@
-"""The benchmark tracer patches program functions by name.  This test fails
-when a rename or removal would break ``lcbench/run.py --trace 1``."""
+"""The benchmark tracer patches program functions by name.  These tests fail
+when a rename or removal would break ``lcbench/run.py --trace 1``, or would
+leave its per-layer counters at zero."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PATH_SETUP = "import sys; sys.path[:0] = %r\n" % [str(ROOT / "lcbench"), str(ROOT / "src")]
+
+
+def run_fresh(code):
+    proc = subprocess.run([sys.executable, "-c", PATH_SETUP + code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_tracer_installs_on_the_program():
-    code = (
-        "import sys; sys.path[:0] = %r\n"
-        "import tracer; tracer.install(tracer.Tracer())\n"
-        % [str(ROOT / "lcbench"), str(ROOT / "src")]
+    run_fresh("import tracer; tracer.install(tracer.Tracer())\n")
+
+
+def test_traced_beam_parse_counts_states_and_shifts():
+    # A closure that stopped calling the patched functions would zero these.
+    out = run_fresh(
+        "import json, tracer\n"
+        "from plcg import lc_parser\n"
+        "from plcg.induction import induce_plcg\n"
+        "from plcg.treebank import read_trees\n"
+        "model = induce_plcg(read_trees('(S (NP DT NN) (VP VB (NP PRP)))'))\n"
+        "tr = tracer.Tracer(); tracer.install(tr)\n"
+        "phase = tr.open_phase('round')\n"
+        "assert lc_parser.beam_parse(['DT', 'NN', 'VB', 'PRP'], model, k=10)\n"
+        "tr.close_phase(phase)\n"
+        "print(json.dumps({name: v for (_, name), v in tr.counts.items()}))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(out)
+    assert counts["lc_parser.states"] > 0
+    assert counts["lc_parser.shift_calls"] > 0
