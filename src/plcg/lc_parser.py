@@ -12,13 +12,15 @@ first use and kept on the model.  The variants differ only in the tables:
 
 One beam per word boundary: states that have consumed i words compete,
 attach/project moves are expanded to a fixpoint within the boundary, and
-the states of the k best distinct stacks that can shift the next tag shift
-it.  Every move is conditioned on the stack alone, so states with equal
-stacks have equal futures: the beam recombines them, holding and expanding
-only the best ``n_best`` derivations per stack (Huang & Chiang 2005).  The
-expansion looks one tag ahead: it reads tables filtered by the next tag, so
-it builds only the states that can still shift that tag.  Move lists are
-held in a prefix-sharing store so states are cheap to branch.
+the k best states that can shift the next tag shift it.  Every move is
+conditioned on the stack alone, so states with equal stacks have equal
+futures: the beam recombines them, holding and expanding only the best
+``n_best`` derivations per stack (Huang & Chiang 2005), so the k states
+are at most ``n_best`` per stack, and for one best parse the k best
+distinct stacks.  The expansion looks one tag ahead: it reads tables
+filtered by the next tag, so it builds only the states that can still shift
+that tag.  Move lists are held in a prefix-sharing store so states are
+cheap to branch.
 """
 
 from __future__ import annotations
@@ -243,8 +245,13 @@ def _recombined_closure(
     """The closure holding the ``keep`` best states per stack.  A state
     enters only if it beats the worst one held for its stack, and a state
     pushed out before its turn is not expanded.  Probabilities are at most
-    one, so a unary cycle cannot beat the state it started from."""
+    one, so a unary cycle cannot beat the state it started from.  With
+    ``keep`` above 1, every complete state is held: those are never
+    expanded, and an n-best list needs them all, because a tree can have
+    more than one derivation (binarized nodes, or delta's composed
+    projection against a projection and an attach)."""
     held: dict = {}
+    complete: list[ParserState] = []
     offered, rounds = list(states), 0
     while True:
         frontier = []
@@ -259,6 +266,9 @@ def _recombined_closure(
                 frontier.append(st)
         else:
             for st in offered:
+                if not st.stack:
+                    complete.append(st)
+                    continue
                 group = held.setdefault(st.stack, [])
                 if len(group) == keep:
                     if st.log_prob <= group[-1].log_prob:
@@ -280,7 +290,7 @@ def _recombined_closure(
         rounds += 1
     if keep == 1:
         return list(held.values())
-    return [st for group in held.values() for st in group]
+    return [st for group in held.values() for st in group] + complete
 
 
 class TooManyDerivationsError(ValueError):
@@ -300,10 +310,10 @@ def _complete_states(
     n_best: int = 1,
 ) -> list[ParserState]:
     """Complete states over ``tags``, best first.  With ``k``, the closures
-    hold the ``n_best`` best states per stack, and only the states of the
-    ``k`` best stacks that can shift the next tag survive each word
-    boundary; without, every derivation is kept, and a closure may build at
-    most ``STATE_LIMIT`` states."""
+    hold the ``n_best`` best states per stack, and only the ``k`` best
+    states that can shift the next tag survive each word boundary; without,
+    every derivation is kept, and a closure may build at most
+    ``STATE_LIMIT`` states."""
     if not tags:
         raise ValueError("empty tag sequence")
     if variant not in VARIANTS:
@@ -322,29 +332,12 @@ def _complete_states(
         pool = [st for st in pool if st.stack and st.stack[-1] in shifts]
         if k is not None:
             pool.sort(key=_rank)
-            if n_best == 1:
-                del pool[k:]
-            else:
-                pool = _best_stacks(pool, k)
+            del pool[k:]
         beam = [shift_successor(st, tag, model, store) for st in pool]
         if not beam:
             return []
     final = _closure(beam, model, store, variant, state_limit=state_limit, keep=keep)
     return sorted((st for st in final if st.complete), key=_rank)
-
-
-def _best_stacks(pool: list[ParserState], k: int) -> list[ParserState]:
-    """The states of the ``k`` best distinct stacks of ``pool``, which is
-    sorted best first."""
-    top: set = set()
-    out = []
-    for st in pool:
-        if st.stack not in top:
-            if len(top) == k:
-                continue
-            top.add(st.stack)
-        out.append(st)
-    return out
 
 
 def beam_parse(
@@ -354,17 +347,17 @@ def beam_parse(
     n_best: int = 1,
     variant: str = "base",
 ) -> list[tuple[Tree, float]]:
-    """Up to ``n_best`` complete parses, best first.  The beam keeps the
-    ``k`` best distinct stacks at each word boundary and the best ``n_best``
-    derivations per stack.  Not guaranteed optimal unless ``k`` exceeds the
-    number of reachable stacks."""
+    """Up to ``n_best`` complete parses, best first.  At each word boundary
+    the beam keeps the ``k`` best states, at most ``n_best`` per stack, so
+    with ``n_best`` 1 the ``k`` best distinct stacks.  Not guaranteed
+    optimal unless ``k`` exceeds the number of reachable stacks times
+    ``n_best``."""
     if k < 1 or n_best < 1:
         raise ValueError("k and n_best must be >= 1")
     store = MoveStore()
     complete = _complete_states(tags, model, store, variant, k=k, n_best=n_best)
-    # Distinct derivations of one tree only arise through binarization;
-    # after debinarizing, keep the best score per tree, so the list may be
-    # shorter than n_best.
+    # Binarized nodes and delta's composed projections give one tree more
+    # than one derivation; keep the best score per debinarized tree.
     out: list[tuple[Tree, float]] = []
     seen: set[str] = set()
     for st in complete:

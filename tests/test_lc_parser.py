@@ -174,27 +174,30 @@ class TestExhaustive:
 
 class TestBeam:
     def test_oracle_equivalence_big_beam(self, nested_model, ambiguous_corpus):
-        plcgs = [induce_plcg(ambiguous_corpus),
-                 induce_plcg(ambiguous_corpus + [t("(S (NP NN NN) (VP VB))")])]
+        corpora = [ambiguous_corpus, ambiguous_corpus + [t("(S (NP NN NN) (VP VB))")]]
+        plcgs = [induce_plcg(corpus) for corpus in corpora]
+        deltas = [induce_delta_model(binarize_corpus(corpus)) for corpus in corpora]
         slots = induce_plcg([t("(S (X%d A) C)" % i) for i in range(120)])
-        delta = induce_delta_model(binarize_corpus(ambiguous_corpus))
         sentences = [leaves(tree) for tree in ambiguous_corpus] + [["NN", "NN", "VB"]]
         cases = [(nested_model, "base", list(tags))
                  for length in range(2, 6) for tags in itertools.product("abc", repeat=length)]
         cases += [(plcg, "base", tags) for plcg in plcgs for tags in sentences]
         cases += [(slots, "base", ["A", "C"])]
-        cases += [(delta, "delta", tags) for tags in sentences]
-        parsed = 0
+        cases += [(delta, "delta", tags) for delta in deltas for tags in sentences]
+        parsed, ranked = 0, set()
         for model, variant, tags in cases:
-            exact = exhaustive_lc_parse(tags, model, variant)
-            # Base derivations are distinct trees, so the n-best lists agree;
-            # delta's binarized derivations may share a tree.
-            n_best = 5 if variant == "base" else 1
-            beamed = beam_parse(tags, model, k=100000, n_best=n_best, variant=variant)
-            assert [(write_tree(tree), lp) for tree, lp in beamed] == [
-                (write_tree(tree), lp) for tree, lp in exact[:n_best]]
+            # The beam's list is the exhaustive one with each debinarized
+            # tree at its best score.
+            exact: dict = {}
+            for tree, lp in exhaustive_lc_parse(tags, model, variant):
+                exact.setdefault(write_tree(tree), lp)
+            beamed = beam_parse(tags, model, k=100000, n_best=5, variant=variant)
+            assert [(write_tree(tree), lp) for tree, lp in beamed] == list(exact.items())[:5]
             parsed += bool(exact)
+            if len(beamed) > 1:
+                ranked.add(variant)
         assert parsed >= 10
+        assert ranked == {"base", "delta"}
 
     def test_monotone_in_beam_width(self, ambiguous_corpus):
         model = induce_plcg(ambiguous_corpus)
@@ -374,7 +377,7 @@ class TestRecombination:
                     for st in full:
                         scores.setdefault(st.stack, []).append(st.log_prob)
                     shared += len(full) - len(scores)
-                    # keep=1 is the beam's own path; keep=3 the n-best one.
+                    # keep=1 is the 1-best beam's; keep=3 an n-best one's.
                     for keep in (1, 3):
                         held: dict = {}
                         for st in _closure(beam, model, store, variant, tag, keep=keep):
@@ -410,6 +413,28 @@ class TestDeltaVariant:
         beamed = beam_parse(tags, model, k=100000, variant="delta")
         assert beamed and exact
         assert beamed[0][1] == pytest.approx(exact[0][1], abs=1e-9)
+
+    def test_n_best_counts_trees_not_derivations(self):
+        # A sought X takes (X a) by a composed projection, or by a projection
+        # and an attach, so each tree below has two derivations, and the
+        # best two complete derivations of "a a" are one tree.
+        model = induce_delta_model(binarize_corpus([
+            t("(S (X a) X)"), t("(S a (X a))"), t("(S a (X (X a) X))")]))
+        shared = 0
+        for length in range(1, 4):
+            for tags in itertools.product(["a", "X"], repeat=length):
+                derivations = exhaustive_lc_parse(list(tags), model, "delta")
+                exact: dict = {}
+                for tree, lp in derivations:
+                    exact.setdefault(write_tree(tree), lp)
+                shared += len(derivations) - len(exact)
+                for n_best in (1, 2, 3):
+                    beamed = beam_parse(list(tags), model, k=1000, n_best=n_best,
+                                        variant="delta")
+                    assert [(write_tree(tree), lp) for tree, lp in beamed] == \
+                        list(exact.items())[:n_best]
+        assert shared > 0
+        assert len(beam_parse(["a", "a"], model, k=1000, n_best=2, variant="delta")) == 2
 
     def test_variant_requires_delta_model(self, nested_model):
         with pytest.raises(TypeError):
