@@ -49,8 +49,6 @@ from .induction import (
     plcg_tree_log_prob,
 )
 from .lc_parser import (
-    IncompleteDerivationError,
-    MoveStore,
     ParserState,
     TooManyDerivationsError,
     beam_parse,

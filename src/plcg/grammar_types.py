@@ -156,7 +156,3 @@ class DeltaModel:
 
 
 Model = PcfgModel | PlcgModel | DeltaModel
-
-
-def log(p: float) -> float:
-    return math.log(p) if p > 0.0 else NEG_INF

@@ -15,7 +15,6 @@ from .grammar_types import (
     PcfgModel,
     PlcgModel,
     Rule,
-    log,
 )
 from .treebank import Tree, check_sequence, iter_local_trees
 

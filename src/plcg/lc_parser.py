@@ -19,8 +19,9 @@ futures: the beam recombines them, holding and expanding only the best
 are at most ``n_best`` per stack, and for one best parse the k best
 distinct stacks.  The expansion looks one tag ahead: it reads tables
 filtered by the next tag, so it builds only the states that can still shift
-that tag.  Move lists are held in a prefix-sharing store so states are
-cheap to branch.
+that tag.  A state holds its derivation as a shared-tail pair (last move,
+earlier moves), so branching a state copies no moves.  States are kept in
+build order and sorted stably, so a tie goes to the earlier-built state.
 """
 
 from __future__ import annotations
@@ -41,31 +42,14 @@ STATE_LIMIT = 200000
 VARIANTS = ("base", "delta")
 
 
-class MoveStore:
-    """Prefix-sharing store of move sequences: each handle points at a node
-    holding (move, parent handle)."""
-
-    ROOT = -1
-
-    def __init__(self):
-        self._moves: list[LcMove] = []
-        self._parents: list[int] = []
-
-    def append(self, handle: int, move: LcMove) -> int:
-        self._moves.append(move)
-        self._parents.append(handle)
-        return len(self._moves) - 1
-
-    def sequence(self, handle: int) -> list[LcMove]:
-        out = []
-        while handle != MoveStore.ROOT:
-            out.append(self._moves[handle])
-            handle = self._parents[handle]
-        out.reverse()
-        return out
-
-    def __len__(self) -> int:
-        return len(self._moves)
+def move_list(moves: Optional[tuple]) -> list[LcMove]:
+    """The moves of a shared-tail derivation, first to last."""
+    out = []
+    while moves is not None:
+        move, moves = moves
+        out.append(move)
+    out.reverse()
+    return out
 
 
 # Stack entries: ("s", category) sought, ("f", category) found.
@@ -74,7 +58,7 @@ SOUGHT, FOUND = "s", "f"
 
 class ParserState(NamedTuple):
     stack: tuple
-    moves: int  # handle into the shared MoveStore
+    moves: Optional[tuple]  # (last move, earlier moves); None when empty
     log_prob: float
 
     @property
@@ -87,7 +71,7 @@ class ParserState(NamedTuple):
 
 
 def initial_state(start: str) -> ParserState:
-    return ParserState(((SOUGHT, start),), MoveStore.ROOT, 0.0)
+    return ParserState(((SOUGHT, start),), None, 0.0)
 
 
 _ATTACH = LcMove.attach()
@@ -173,7 +157,7 @@ def _shift_table(model: PlcgModel, tag: str) -> dict:
 
 
 def shift_successor(
-    state: ParserState, tag: str, model: PlcgModel | DeltaModel, store: MoveStore
+    state: ParserState, tag: str, model: PlcgModel | DeltaModel
 ) -> Optional[ParserState]:
     """The single forced shift when a sought category is exposed."""
     base = model.base if isinstance(model, DeltaModel) else model
@@ -181,12 +165,12 @@ def shift_successor(
     if entry is None:
         return None
     move, lp = entry
-    return ParserState(state.stack + ((FOUND, tag),),
-                       store.append(state.moves, move), state.log_prob + lp)
+    return ParserState(state.stack + ((FOUND, tag),), (move, state.moves),
+                       state.log_prob + lp)
 
 
 def successors(
-    state: ParserState, model: PlcgModel | DeltaModel, store: MoveStore, variant: str = "base",
+    state: ParserState, model: PlcgModel | DeltaModel, variant: str = "base",
     tag: Optional[str] = None,
 ) -> list[ParserState]:
     """Attach/project successors of a state whose top is a found corner.
@@ -205,23 +189,23 @@ def successors(
     table = model.move_tables.get(key)
     if table is None:
         table = model.move_tables[key] = _compile_moves(model, *key)
-    handle, log_prob, append = state.moves, state.log_prob, store.append
-    return [ParserState(stack[:-pop] + push, append(handle, move), log_prob + lp)
+    moves, log_prob = state.moves, state.log_prob
+    return [ParserState(stack[:-pop] + push, (move, moves), log_prob + lp)
             for move, pop, push, lp in table]
 
 
 def _closure(
-    states: list[ParserState], model, store: MoveStore, variant: str,
-    tag: Optional[str] = None, state_limit: Optional[int] = None,
+    states: list[ParserState], model, variant: str, tag: Optional[str] = None,
     keep: Optional[int] = None,
 ) -> list[ParserState]:
     """Expand attach/project moves to a fixpoint within a word boundary, for
-    at most ``MAX_NONSHIFT`` rounds.  With the next ``tag``, build only the
-    states that can still shift it.  With ``keep``, hold only the ``keep``
-    best states per stack, the earlier one on a tie, and return those;
-    without, return every derivation."""
+    at most ``MAX_NONSHIFT`` rounds, and return the states in build order.
+    With the next ``tag``, build only the states that can still shift it.
+    With ``keep``, hold only the ``keep`` best states per stack, the earlier
+    one on a tie, and return those; without, return every derivation, and
+    raise TooManyDerivationsError past ``STATE_LIMIT`` states."""
     if keep is not None:
-        return _recombined_closure(states, model, store, variant, tag, keep)
+        return _recombined_closure(states, model, variant, tag, keep)
     out = list(states)
     frontier = list(states)
     rounds = 0
@@ -229,18 +213,17 @@ def _closure(
         nxt: list[ParserState] = []
         for st in frontier:
             if st.stack and st.stack[-1][0] == FOUND:
-                nxt.extend(successors(st, model, store, variant, tag))
+                nxt.extend(successors(st, model, variant, tag))
         out.extend(nxt)
-        if state_limit is not None and len(out) > state_limit:
-            raise TooManyDerivationsError("state count exceeded %d" % state_limit)
+        if len(out) > STATE_LIMIT:
+            raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
         frontier = nxt
         rounds += 1
     return out
 
 
 def _recombined_closure(
-    states: list[ParserState], model, store: MoveStore, variant: str,
-    tag: Optional[str], keep: int,
+    states: list[ParserState], model, variant: str, tag: Optional[str], keep: int,
 ) -> list[ParserState]:
     """The closure holding the ``keep`` best states per stack.  A state
     enters only if it beats the worst one held for its stack, and a state
@@ -249,8 +232,10 @@ def _recombined_closure(
     ``keep`` above 1, every complete state is held: those are never
     expanded, and an n-best list needs them all, because a tree can have
     more than one derivation (binarized nodes, or delta's composed
-    projection against a projection and an attach)."""
+    projection against a projection and an attach).  Held states are
+    returned in the order they entered, which is the order they were built."""
     held: dict = {}
+    entered: list[ParserState] = []
     complete: list[ParserState] = []
     offered, rounds = list(states), 0
     while True:
@@ -262,6 +247,7 @@ def _recombined_closure(
                 if old is not st:
                     if st.log_prob <= old.log_prob:
                         continue
+                    del held[st.stack]  # re-inserted last, in entry order
                     held[st.stack] = st
                 frontier.append(st)
         else:
@@ -279,35 +265,36 @@ def _recombined_closure(
                     i -= 1
                 group.insert(i, st)
                 frontier.append(st)
+            entered += frontier
         if not frontier or rounds == MAX_NONSHIFT:
             break
         offered = []
         for st in frontier:
             stack = st.stack
+            # By identity: equal states would compare whole derivations.
             if stack and stack[-1][0] == FOUND and (
-                    held[stack] is st if keep == 1 else st in held[stack]):
-                offered += successors(st, model, store, variant, tag)
+                    held[stack] is st if keep == 1
+                    else any(other is st for other in held[stack])):
+                offered += successors(st, model, variant, tag)
         rounds += 1
     if keep == 1:
         return list(held.values())
-    return [st for group in held.values() for st in group] + complete
+    kept = {id(st) for group in held.values() for st in group}
+    return [st for st in entered if id(st) in kept] + complete
 
 
 class TooManyDerivationsError(ValueError):
     pass
 
 
-class IncompleteDerivationError(ValueError):
-    pass
-
-
-def _rank(state: ParserState) -> tuple:
-    return (-state.log_prob, state.moves)
+def _rank(state: ParserState) -> float:
+    """Sort key, best first; sorts are stable, so states in build order keep
+    the earlier-built one first on a tie."""
+    return -state.log_prob
 
 
 def _complete_states(
-    tags: Sequence[str], model, store: MoveStore, variant: str, k: Optional[int] = None,
-    n_best: int = 1,
+    tags: Sequence[str], model, variant: str, k: Optional[int] = None, n_best: int = 1,
 ) -> list[ParserState]:
     """Complete states over ``tags``, best first.  With ``k``, the closures
     hold the ``n_best`` best states per stack, and only the ``k`` best
@@ -321,11 +308,10 @@ def _complete_states(
     if variant == "delta" and not isinstance(model, DeltaModel):
         raise TypeError("delta variant needs a DeltaModel")
     base = model.base if isinstance(model, DeltaModel) else model
-    state_limit = STATE_LIMIT if k is None else None
     keep = None if k is None else n_best
     beam = [initial_state(model.start)]
     for tag in tags:
-        pool = _closure(beam, model, store, variant, tag, state_limit, keep)
+        pool = _closure(beam, model, variant, tag, keep)
         # The closure built only states that can still shift the tag; found
         # corners on top, carried in or built on the way, are dropped here.
         shifts = _shift_table(base, tag)
@@ -333,10 +319,10 @@ def _complete_states(
         if k is not None:
             pool.sort(key=_rank)
             del pool[k:]
-        beam = [shift_successor(st, tag, model, store) for st in pool]
+        beam = [shift_successor(st, tag, model) for st in pool]
         if not beam:
             return []
-    final = _closure(beam, model, store, variant, state_limit=state_limit, keep=keep)
+    final = _closure(beam, model, variant, keep=keep)
     return sorted((st for st in final if st.complete), key=_rank)
 
 
@@ -354,14 +340,13 @@ def beam_parse(
     ``n_best``."""
     if k < 1 or n_best < 1:
         raise ValueError("k and n_best must be >= 1")
-    store = MoveStore()
-    complete = _complete_states(tags, model, store, variant, k=k, n_best=n_best)
+    complete = _complete_states(tags, model, variant, k, n_best)
     # Binarized nodes and delta's composed projections give one tree more
     # than one derivation; keep the best score per debinarized tree.
     out: list[tuple[Tree, float]] = []
     seen: set[str] = set()
     for st in complete:
-        tree = recover_tree(st.moves, model.start, store)
+        tree = recover_tree(st.moves, model.start)
         key = write_tree(tree)
         if key not in seen:
             seen.add(key)
@@ -380,19 +365,15 @@ def exhaustive_lc_parse(
     fixtures.  Each tree of the model appears through exactly one
     derivation (before binarization).  Raises TooManyDerivationsError when a
     closure builds more than ``STATE_LIMIT`` states."""
-    store = MoveStore()
-    complete = _complete_states(tags, model, store, variant)
-    return [(recover_tree(st.moves, model.start, store), st.log_prob) for st in complete]
+    complete = _complete_states(tags, model, variant)
+    return [(recover_tree(st.moves, model.start), st.log_prob) for st in complete]
 
 
-def recover_tree(handle: int, start: str, store: MoveStore) -> Tree:
-    """Replay a stored derivation into a tree, undoing binarization when the
+def recover_tree(moves: Optional[tuple], start: str) -> Tree:
+    """Replay a state's derivation into a tree, undoing binarization when the
     moves mention introduced symbols."""
-    moves = store.sequence(handle)
-    try:
-        tree = replay(moves, start)
-    except Exception as exc:
-        raise IncompleteDerivationError(str(exc)) from exc
+    moves = move_list(moves)
+    tree = replay(moves, start)
     if any(mv.rule is not None and is_binarized_symbol(mv.rule.lhs) for mv in moves):
         tree = debinarize_tree(tree)
     return tree

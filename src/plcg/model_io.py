@@ -9,8 +9,9 @@ Record kinds:
   DPROJ <depth> <delta> <lc> <gc> <lhs> <rhs...> <count>  (delta)
 
 Counts are stored, probabilities re-derived on load, so normalization stays
-checkable.  Records are emitted sorted: saving is deterministic and
-round-trips byte-exactly.
+checkable.  Every count is at least 1, and an ATT record has
+0 <= attach_count <= total_count with total_count >= 1.  Records are
+emitted sorted: saving is deterministic and round-trips byte-exactly.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def dumps(model: Model) -> str:
     return "".join(line + "\n" for line in [header] + recs)
 
 
+def _count(field: str) -> int:
+    c = int(field)
+    if c < 1:
+        raise ValueError("count %d below 1" % c)
+    return c
+
+
 def loads(text: str) -> Model:
     lines = text.splitlines()
     if not lines:
@@ -88,7 +96,7 @@ def loads(text: str) -> Model:
     head = lines[0].split("\t")
     if len(head) != 4 or head[0] != _HEADER:
         raise ModelFormatError("bad header: %r" % lines[0])
-    if int(head[1]) != FORMAT_VERSION:
+    if not head[1].isdecimal() or int(head[1]) != FORMAT_VERSION:
         raise ModelFormatError("unsupported format version %s" % head[1])
     kind, start = head[2], head[3]
     if kind not in _KINDS:
@@ -109,30 +117,33 @@ def loads(text: str) -> Model:
         try:
             if tag == "RULE":
                 rule = Rule(fields[1], tuple(fields[2:-1]))
-                rule_counts[rule] = int(fields[-1])
+                rule_counts[rule] = _count(fields[-1])
             elif tag == "SHIFT":
-                gc, lc, c = fields[1], fields[2], int(fields[3])
+                gc, lc, c = fields[1], fields[2], _count(fields[3])
                 shift.setdefault(gc, {})[lc] = c
             elif tag == "ATT":
-                att[(fields[1], fields[2])] = (int(fields[3]), int(fields[4]))
+                attach, total = int(fields[3]), int(fields[4])
+                if not 0 <= attach <= total or total < 1:
+                    raise ValueError("attach count %d of %d" % (attach, total))
+                att[(fields[1], fields[2])] = (attach, total)
             elif tag == "PROJ":
                 gc, lc = fields[1], fields[2]
                 rule = Rule(fields[3], tuple(fields[4:-1]))
-                proj.setdefault((lc, gc), {})[rule] = int(fields[-1])
+                proj.setdefault((lc, gc), {})[rule] = _count(fields[-1])
             elif tag == "DELTA":
                 depth, lc, gc = int(fields[1]), fields[2], fields[3]
-                dcounts.setdefault((depth, lc, gc), {})[int(fields[4])] = int(fields[5])
+                dcounts.setdefault((depth, lc, gc), {})[int(fields[4])] = _count(fields[5])
             elif tag == "DPROJ":
                 depth, delta, lc, gc = int(fields[1]), int(fields[2]), fields[3], fields[4]
                 body = fields[5:-1]
                 rule = ATTACH_RULE if body == [ATTACH_RULE.lhs] else Rule(body[0], tuple(body[1:]))
-                drules.setdefault((lc, gc, depth, delta), {})[rule] = int(fields[-1])
+                drules.setdefault((lc, gc, depth, delta), {})[rule] = _count(fields[-1])
             else:
                 raise ModelFormatError("unknown record kind %r" % tag)
         except (IndexError, ValueError) as exc:
             if isinstance(exc, ModelFormatError):
                 raise
-            raise ModelFormatError("malformed line %d: %r" % (lineno, line)) from exc
+            raise ModelFormatError("malformed line %d: %r (%s)" % (lineno, line, exc)) from exc
 
     if kind == "pcfg":
         return PcfgModel(rule_counts, start)

@@ -213,6 +213,22 @@ class TestParse:
             code, out, err = run(capsys, argv)
             assert code == 1 and flags[0] in err and out == "", (kind, flags)
 
+    def test_impossible_model_counts_are_data_errors(self, workspace, capsys):
+        # A zero or negative shift count once ended in a ZeroDivisionError,
+        # and an attach count above its total parsed silently.
+        text = self.induce(workspace, capsys).read_text()
+        shift = next(line for line in text.splitlines() if line.startswith("SHIFT\t"))
+        att = next(line for line in text.splitlines() if line.startswith("ATT\t"))
+        total = int(att.split("\t")[4])
+        bad = [shift.rsplit("\t", 1)[0] + "\t" + count for count in ("0", "-5")]
+        bad.append("\t".join(att.split("\t")[:3] + [str(total + 5), str(total)]))
+        for line, replacement in [(shift, bad[0]), (shift, bad[1]), (att, bad[2])]:
+            broken = workspace / "broken.plcg"
+            broken.write_text(text.replace(line, replacement, 1))
+            code, out, err = run(capsys, ["parse", str(broken), str(workspace / "tags.txt")])
+            assert code == 2 and "malformed line" in err, replacement
+            assert "Traceback" not in err and out == ""
+
     def test_bad_beam_is_usage_error(self, workspace, capsys):
         model = self.induce(workspace, capsys)
         code, _, _ = run(

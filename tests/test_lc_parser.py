@@ -16,7 +16,6 @@ from plcg.induction import (
 from plcg.lc_parser import (
     FOUND,
     SOUGHT,
-    MoveStore,
     ParserState,
     TooManyDerivationsError,
     _closure,
@@ -24,6 +23,7 @@ from plcg.lc_parser import (
     beam_parse,
     exhaustive_lc_parse,
     initial_state,
+    move_list,
     shift_successor,
     successors,
 )
@@ -74,6 +74,20 @@ def sample_models(variant):
     return trees, model, model
 
 
+def count_built_states(monkeypatch) -> list[int]:
+    """Patch ``successors`` to record how many states each call builds."""
+    built = []
+    real = lc_parser.successors
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(lc_parser, "successors", counting)
+    return built
+
+
 @pytest.fixture
 def ambiguous_corpus():
     return [
@@ -84,44 +98,48 @@ def ambiguous_corpus():
     ]
 
 
-class TestMoveStore:
+class TestMoveList:
     def test_prefix_sharing(self):
-        store = MoveStore()
-        a = store.append(MoveStore.ROOT, LcMove.shift("a"))
-        b = store.append(a, LcMove.attach())
-        c = store.append(a, LcMove.shift("b"))
-        assert store.sequence(b) == [LcMove.shift("a"), LcMove.attach()]
-        assert store.sequence(c) == [LcMove.shift("a"), LcMove.shift("b")]
-        assert len(store) == 3
+        a = (LcMove.shift("a"), None)
+        b = (LcMove.attach(), a)
+        c = (LcMove.shift("b"), a)
+        assert move_list(b) == [LcMove.shift("a"), LcMove.attach()]
+        assert move_list(c) == [LcMove.shift("a"), LcMove.shift("b")]
+        assert b[1] is c[1]
 
-    def test_root_is_empty(self):
-        assert MoveStore().sequence(MoveStore.ROOT) == []
+    def test_empty_derivation(self):
+        assert move_list(None) == []
+        assert move_list(initial_state("T").moves) == []
+
+    def test_successors_share_the_parent_derivation(self, nested_model):
+        state = shift_successor(initial_state("T"), "c", nested_model)
+        (child,) = successors(state, nested_model)
+        assert child.moves[1] is state.moves
+        assert len(move_list(child.moves)) == 2
 
 
 class TestSuccessors:
     def test_shift_forced_on_sought_top(self, nested_model):
         state = initial_state("T")
         assert state.needs_shift
-        assert list(successors(state, nested_model, MoveStore())) == []
+        assert list(successors(state, nested_model)) == []
 
     def test_shift_scores_by_goal(self, nested_model):
-        store = MoveStore()
-        state = shift_successor(initial_state("T"), "c", nested_model, store)
+        state = shift_successor(initial_state("T"), "c", nested_model)
         assert state is not None
         assert state.log_prob == pytest.approx(0.0)  # P_shift(c | T) = 1
-        assert shift_successor(initial_state("T"), "b", nested_model, store) is None
+        assert shift_successor(initial_state("T"), "b", nested_model) is None
 
     def test_successor_probabilities_sum_to_one(self, nested_model):
         # At the (S, S) decision point, attach (3/4) and the S -> S b
         # projection (1/4) must exhaust the mass.
-        store = MoveStore()
         state = initial_state("T")
-        state = shift_successor(state, "c", nested_model, store)
-        for st in successors(state, nested_model, store):  # project T -> c S
+        state = shift_successor(state, "c", nested_model)
+        for st in successors(state, nested_model):  # project T -> c S
             state = st
-        state = shift_successor(state, "a", nested_model, store)
-        (state,) = successors(state, nested_model, store)  # project S -> a
-        branches = list(successors(state, nested_model, store))
+        state = shift_successor(state, "a", nested_model)
+        (state,) = successors(state, nested_model)  # project S -> a
+        branches = list(successors(state, nested_model))
         total = sum(math.exp(st.log_prob - state.log_prob) for st in branches)
         assert total == pytest.approx(1.0)
         probs = sorted(math.exp(st.log_prob - state.log_prob) for st in branches)
@@ -139,8 +157,8 @@ class TestSuccessors:
                    for depth, lc, gc in delta.delta_counts]
         assert {variant for variant, _, _ in points} == {"base", "delta"}
         for variant, model, stack in points:
-            state = ParserState(stack, MoveStore.ROOT, 0.0)
-            branches = successors(state, model, MoveStore(), variant)
+            state = ParserState(stack, None, 0.0)
+            branches = successors(state, model, variant)
             total = math.fsum(math.exp(st.log_prob) for st in branches)
             assert total == pytest.approx(1.0), (variant, stack)
 
@@ -252,24 +270,23 @@ class TestLookahead:
         trees, model, base = sample_models(variant)
         dead = 0
         for tags in [leaves(tree) for tree in trees[:8]]:
-            store = MoveStore()
             beam = [initial_state(model.start)]
             for tag in tags:
                 shifts = _shift_table(base, tag)
-                pool = _closure(beam, model, store, variant, tag)
+                pool = _closure(beam, model, variant, tag)
                 # Only the carried-in states, with the last tag found on top,
                 # may fail to shift; every state built can still shift tag.
                 for st in pool[len(beam):]:
                     assert st.stack and (st.stack[-1][0] == FOUND or st.stack[-1] in shifts)
                 # The closure without lookahead builds dead states, and the
                 # same shiftable states in the same order.
-                full = _closure(beam, model, store, variant)
+                full = _closure(beam, model, variant)
                 dead += sum(st.needs_shift and st.stack[-1] not in shifts for st in full)
                 live = [st for st in pool if st.stack and st.stack[-1] in shifts]
                 assert [(st.stack, st.log_prob) for st in live] == [
                     (st.stack, st.log_prob) for st in full if st.stack and st.stack[-1] in shifts]
                 live.sort(key=lambda st: -st.log_prob)
-                beam = [shift_successor(st, tag, model, store) for st in live[:20]]
+                beam = [shift_successor(st, tag, model) for st in live[:20]]
             assert beam
         assert dead > 0
 
@@ -294,21 +311,19 @@ class TestBounds:
         assert best and best[0][0] == gold
         for rounds in (lc_parser.MAX_NONSHIFT, 7):
             monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
-            store = MoveStore()
-            found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), MoveStore.ROOT, 0.0)
-            pool = _closure([found_np], model, store, "base", "VB")
+            found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), None, 0.0)
+            pool = _closure([found_np], model, "base", "VB")
             # Each round adds one move; the NP -> NP chain alone never ends.
-            assert max(len(store.sequence(st.moves)) for st in pool) == rounds
+            assert max(len(move_list(st.moves)) for st in pool) == rounds
 
-
-    def test_recombined_closure_leaves_unary_self_loop(self, np_loop_model):
+    def test_recombined_closure_leaves_unary_self_loop(self, np_loop_model, monkeypatch):
         # NP -> NP cannot beat the found NP it projects from, so the beam's
         # closure stops after the one projection that can shift VB.
-        store = MoveStore()
-        found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), MoveStore.ROOT, 0.0)
-        pool = _closure([found_np], np_loop_model, store, "base", "VB", keep=1)
-        assert max(len(store.sequence(st.moves)) for st in pool) == 1
-        assert len(store) < 5 < lc_parser.MAX_NONSHIFT
+        built = count_built_states(monkeypatch)
+        found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), None, 0.0)
+        pool = _closure([found_np], np_loop_model, "base", "VB", keep=1)
+        assert max(len(move_list(st.moves)) for st in pool) == 1
+        assert 0 < sum(built) < 5 < lc_parser.MAX_NONSHIFT
 
     def test_cyclic_unaries_close(self, monkeypatch):
         # Random trees give unary cycles (S -> S, NP -> PP -> NP, ...); the
@@ -317,20 +332,12 @@ class TestBounds:
         trees = [Tree("ROOT", (random_tree(rng),)) for _ in range(30)]
         model = induce_plcg(trees)
         tags = next(tags for tags in map(leaves, trees) if len(tags) == 3)
-        stores = []
-
-        class CountingStore(MoveStore):
-            def __init__(self):
-                super().__init__()
-                stores.append(self)
-
-        monkeypatch.setattr(lc_parser, "MoveStore", CountingStore)
+        built = count_built_states(monkeypatch)
         parses = beam_parse(tags, model, k=100)
         assert parses
         tree, lp = parses[0]
         assert lp == pytest.approx(plcg_tree_log_prob(tree, model))
-        (store,) = stores
-        assert len(store) < 100000
+        assert 0 < sum(built) < 100000
 
 
 class TestRecombination:
@@ -351,9 +358,18 @@ class TestRecombination:
         # Equal sought stacks, carried in out of order; none can expand.
         lps = [-2.0, -1.0, -3.0, -0.5, -1.0, -0.7]
         states = [ParserState(((SOUGHT, "T"),), i, lp) for i, lp in enumerate(lps)]
-        for keep, handles in ((1, [3]), (2, [3, 5]), (3, [3, 5, 1]), (5, [3, 5, 1, 4, 0])):
-            held = _closure(states, nested_model, MoveStore(), "base", keep=keep)
-            assert sorted(st.moves for st in held) == sorted(handles)
+        for keep, marks in ((1, [3]), (2, [3, 5]), (3, [3, 5, 1]), (5, [3, 5, 1, 4, 0])):
+            held = _closure(states, nested_model, "base", keep=keep)
+            assert sorted(st.moves for st in held) == sorted(marks)
+
+    def test_ties_across_stacks_go_to_the_earlier_built_state(self, nested_model):
+        # X' beats X on stack A and ties Y, built before it on stack B; the
+        # beam's stable sort must rank Y first.  None can expand.
+        a, b = ((SOUGHT, "A"),), ((SOUGHT, "B"),)
+        states = [ParserState(a, 0, -2.0), ParserState(b, 1, -1.0), ParserState(a, 2, -1.0)]
+        for keep, marks in ((1, [1, 2]), (3, [1, 2, 0])):
+            held = _closure(states, nested_model, "base", keep=keep)
+            assert [st.moves for st in sorted(held, key=lc_parser._rank)] == marks
 
     @pytest.mark.parametrize("variant", ["base", "delta"])
     def test_closure_holds_the_best_states_of_every_stack(self, variant, attachment_corpus):
@@ -369,10 +385,9 @@ class TestRecombination:
         shared = 0
         for model, base, sentences in cases:
             for tags in sentences:
-                store = MoveStore()
                 beam = [initial_state(model.start)]
                 for tag in tags:
-                    full = _closure(beam, model, store, variant, tag)
+                    full = _closure(beam, model, variant, tag)
                     scores: dict = {}
                     for st in full:
                         scores.setdefault(st.stack, []).append(st.log_prob)
@@ -380,7 +395,7 @@ class TestRecombination:
                     # keep=1 is the 1-best beam's; keep=3 an n-best one's.
                     for keep in (1, 3):
                         held: dict = {}
-                        for st in _closure(beam, model, store, variant, tag, keep=keep):
+                        for st in _closure(beam, model, variant, tag, keep=keep):
                             held.setdefault(st.stack, []).append(st.log_prob)
                         assert held.keys() == scores.keys()
                         for stack, lps in scores.items():
@@ -389,7 +404,7 @@ class TestRecombination:
                     shifts = _shift_table(base, tag)
                     live = sorted((st for st in full if st.stack and st.stack[-1] in shifts),
                                   key=lambda st: -st.log_prob)
-                    beam = [shift_successor(st, tag, model, store) for st in live[:20]]
+                    beam = [shift_successor(st, tag, model) for st in live[:20]]
                 assert beam
         assert shared > 0
 

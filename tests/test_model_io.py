@@ -105,6 +105,34 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             loads("PLCG-MODEL\t1\tplcg\tS\nATT\tS\n")
 
+    def test_version_not_an_integer(self):
+        for version in ("one", "1.0", "", "-1"):
+            with pytest.raises(ModelFormatError, match="format version"):
+                loads("PLCG-MODEL\t%s\tpcfg\tS\nRULE\tS\tA\t1\n" % version)
+
+    @pytest.mark.parametrize("kind, record", [
+        ("pcfg", "RULE\tS\tA\t%s"),
+        ("plcg", "SHIFT\tS\tA\t%s"),
+        ("plcg", "PROJ\tS\tA\tS\tA\t%s"),
+        ("delta", "DELTA\t1\tA\tS\t-1\t%s"),
+        ("delta", "DPROJ\t1\t-1\tA\tS\tS\tA\t%s"),
+    ], ids=["RULE", "SHIFT", "PROJ", "DELTA", "DPROJ"])
+    def test_count_below_one(self, kind, record):
+        head = "PLCG-MODEL\t1\t%s\tS\n" % kind
+        assert loads(head + record % "2" + "\n")
+        for count in ("0", "-5"):
+            with pytest.raises(ModelFormatError, match="below 1"):
+                loads(head + record % count + "\n")
+
+    def test_impossible_attach_counts(self):
+        head = "PLCG-MODEL\t1\tplcg\tS\n"
+        for att, total in ((0, 1), (1, 1), (3, 30)):
+            model = loads(head + "ATT\tS\tS\t%d\t%d\n" % (att, total))
+            assert model.att_counts == {("S", "S"): (att, total)}
+        for att, total in ((35, 30), (-1, 30), (0, 0), (1, 0), (-2, -1)):
+            with pytest.raises(ModelFormatError, match="attach count"):
+                loads(head + "ATT\tS\tS\t%d\t%d\n" % (att, total))
+
 
 def test_model_kind():
     assert model_kind(induce_pcfg(corpus())) == "pcfg"

@@ -34,8 +34,12 @@ def test_traced_beam_parse_counts_states_and_shifts():
         "phase = tr.open_phase('round')\n"
         "assert lc_parser.beam_parse(['DT', 'NN', 'VB', 'PRP'], model, k=10)\n"
         "tr.close_phase(phase)\n"
-        "print(json.dumps({name: v for (_, name), v in tr.counts.items()}))\n"
+        "print(json.dumps({'counts': {name: v for (_, name), v in tr.counts.items()},\n"
+        "                  'spans': [tr.names[i] for i in tr.name_id]}))\n"
     )
-    counts = json.loads(out)
+    traced = json.loads(out)
+    counts = traced["counts"]
     assert counts["lc_parser.states"] > 0
     assert counts["lc_parser.shift_calls"] > 0
+    # Tree recovery and replay are timed only while they are called by name.
+    assert {"lc_parser.recover_tree", "derivation.replay"} <= set(traced["spans"])
