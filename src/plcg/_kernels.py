@@ -1,9 +1,14 @@
 """Chart-filling inner loops of ``plcg.chart`` over the integer-indexed
 numpy arrays of a compiled PCFG.
 
-Each span (i, j) scores every binary rule at every split in one numpy
-expression.  The binary rules must be sorted by lhs, so that each lhs owns
-one contiguous run of rule indices.
+The Viterbi fill works one span length at a time: every span of that
+length scores every binary rule at every split in one numpy expression,
+and a tie goes to the first rule, then the first split, that reaches the
+best score.  The unary closure then runs, one span at a time, only on the
+spans where some unary rule's child is already scored; on any other span
+a pass over the unary rules changes nothing.  The inside fill scores one
+span at a time.  The binary rules must be sorted by lhs, so that each lhs
+owns one contiguous run of rule indices.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ def _split_scores(chart, i, j, bin_r1, bin_r2, bin_lp):
 
 def viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                   un_lhs, un_child, un_lp, best, back_op, back_split):
-    """Fill the Viterbi chart in place.
+    """Fill the Viterbi chart in place, one span length at a time.
 
     back_op: >=0 binary rule index; -2-u for unary rule u; -1 terminal/none.
     Ties go to the first rule, then the first split, that reaches the best
@@ -38,43 +43,54 @@ def viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
     rule_ids = np.arange(n_bin)
     starts, run_lhs, run_sizes = _lhs_runs(bin_lhs)
     unary = list(zip(un_lhs.tolist(), un_child.tolist(), un_lp.tolist()))
-    for i in range(n):
-        best[i, i + 1, term_ids[i]] = 0.0
+    best[np.arange(n), np.arange(1, n + 1), term_ids] = 0.0
     for length in range(1, n + 1):
-        for i in range(n - length + 1):
-            j = i + length
-            if length > 1 and n_bin:
-                cand = _split_scores(best, i, j, bin_r1, bin_r2, bin_lp)
-                split = cand.argmax(axis=0)
-                rule_best = cand[split, rule_ids]
-                lhs_best = np.maximum.reduceat(rule_best, starts)
-                hit = rule_best == np.repeat(lhs_best, run_sizes)
-                first = np.minimum.reduceat(np.where(hit, rule_ids, n_bin), starts)
-                found = lhs_best > NEG_INF
-                lhs, rules = run_lhs[found], first[found]
-                best[i, j, lhs] = lhs_best[found]
-                back_op[i, j, lhs] = rules
-                back_split[i, j, lhs] = split[rules] + i + 1
-            # Unary closure to a fixpoint (strict improvement only).
-            row = best[i, j].tolist()
-            unary_op: dict[int, int] = {}
-            changed = True
-            while changed:
-                changed = False
-                for u, (a, b, w) in enumerate(unary):
-                    lb = row[b]
-                    if lb == NEG_INF:
-                        continue
-                    cand_u = w + lb
-                    if cand_u > row[a]:
-                        row[a] = cand_u
-                        unary_op[a] = -2 - u
-                        changed = True
-            if unary_op:
-                syms = list(unary_op)
-                best[i, j, syms] = [row[a] for a in syms]
-                back_op[i, j, syms] = list(unary_op.values())
-                back_split[i, j, syms] = -1
+        spans = np.arange(n - length + 1)
+        if length > 1 and n_bin:
+            # Every span of this length at every split: (span, split, rule).
+            mids = spans[:, None] + np.arange(1, length)
+            left = best[spans[:, None], mids][..., bin_r1]
+            right = best[mids, (spans + length)[:, None]][..., bin_r2]
+            cand = bin_lp + left + right
+            split = cand.argmax(axis=1)
+            rule_best = cand[spans[:, None], split, rule_ids]
+            lhs_best = np.maximum.reduceat(rule_best, starts, axis=1)
+            hit = rule_best == np.repeat(lhs_best, run_sizes, axis=1)
+            first = np.minimum.reduceat(np.where(hit, rule_ids, n_bin), starts, axis=1)
+            at, run = np.nonzero(lhs_best > NEG_INF)
+            lhs, rules = run_lhs[run], first[at, run]
+            best[at, at + length, lhs] = lhs_best[at, run]
+            back_op[at, at + length, lhs] = rules
+            back_split[at, at + length, lhs] = split[at, rules] + at + 1
+        if not unary:
+            continue
+        # A pass over a span with no finite unary child changes nothing.
+        fires = (best[spans, spans + length][:, un_child] > NEG_INF).any(axis=1)
+        for i in np.flatnonzero(fires).tolist():
+            _unary_closure(best, back_op, back_split, i, i + length, unary)
+
+
+def _unary_closure(best, back_op, back_split, i, j, unary):
+    """Unary closure of span (i, j) to a fixpoint (strict improvement only)."""
+    row = best[i, j].tolist()
+    unary_op: dict[int, int] = {}
+    changed = True
+    while changed:
+        changed = False
+        for u, (a, b, w) in enumerate(unary):
+            lb = row[b]
+            if lb == NEG_INF:
+                continue
+            cand = w + lb
+            if cand > row[a]:
+                row[a] = cand
+                unary_op[a] = -2 - u
+                changed = True
+    if unary_op:
+        syms = list(unary_op)
+        best[i, j, syms] = [row[a] for a in syms]
+        back_op[i, j, syms] = list(unary_op.values())
+        back_split[i, j, syms] = -1
 
 
 def inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,

@@ -24,13 +24,38 @@ class VacuousTreeError(ValueError):
     """Raised when preprocessing leaves a tree with an empty yield."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
     """Labelled ordered tree.  A node with no children is a terminal leaf;
-    a node whose single child is a leaf is a preterminal."""
+    a node whose single child is a leaf is a preterminal.  Equality and
+    hashing walk the tree from an explicit stack, so depth is not bounded
+    by the recursion limit."""
 
     label: str
     children: tuple["Tree", ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # The pre-order (label, arity) sequence determines the tree.
+        shape = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            shape.append((node.label, len(node.children)))
+            stack.extend(reversed(node.children))
+        return hash(tuple(shape))
 
     @property
     def is_leaf(self) -> bool:

@@ -15,6 +15,14 @@ def t(text: str) -> Tree:
     return read_tree(text)
 
 
+def chain(depth, right, leaf="a"):
+    """An S chain ``depth`` levels above (S leaf), branching right or left."""
+    node = Tree("S", (Tree(leaf),))
+    for _ in range(depth):
+        node = Tree("S", (Tree("a"), node) if right else (node, Tree("a")))
+    return node
+
+
 def assert_model_normalized(model, tol=1e-9):
     """Check every conditional distribution of a model sums to one."""
     from plcg.grammar_types import DeltaModel, PcfgModel

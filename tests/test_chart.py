@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from plcg.chart import (
     sentence_probability,
     viterbi_parse,
 )
-from plcg.corpus import generate_corpus
+from plcg.corpus import generate_corpus, random_tree_over_yield
 from plcg.grammar_types import NEG_INF, PcfgModel, Rule
 from plcg.induction import induce_pcfg, pcfg_tree_log_prob
-from plcg.treebank import PreprocessOptions, leaves, preprocess_corpus, to_pos_tree
+from plcg.treebank import PreprocessOptions, Tree, leaves, preprocess_corpus, to_pos_tree
 
 
 def model_from(counts, start="S"):
@@ -248,12 +249,35 @@ def generated_corpus_case():
     return induce_pcfg(trees), [leaves(x) for x in trees[:30]]
 
 
+def long_sentence_case():
+    # Random bracketings of 25-30 random tags: a dense grammar with unary
+    # chains and cycles, whose long diagonals hold many spans.
+    rng = random.Random(3)
+    tags = ["DT", "NN", "VB", "IN", "JJ"]
+    trees = [Tree("ROOT", (random_tree_over_yield(rng, rng.choices(tags, k=rng.randint(25, 30))),))
+             for _ in range(40)]
+    return induce_pcfg(trees), [leaves(x) for x in trees[:2]]
+
+
 ORACLE_CASES = {
     "pp": lambda: (model_from(PP_COUNTS), [["N", "V", "N", "P", "N", "P", "N"],
                                           ["N", "V", "N"], ["P", "N"]]),
     "ties": lambda: (tie_model(), [["c", "c", "c"], ["c", "c"], ["c"] * 5]),
     "unary-cycle": lambda: (unary_cycle_model(), [["a"], ["b"], ["a", "b", "a"], ["b", "b"]]),
     "generated": generated_corpus_case,
+    "no-unary": lambda: (model_from({
+        ("S", ("A", "B")): 2, ("S", ("S", "B")): 1,
+        ("A", ("a", "a")): 1, ("B", ("b", "b")): 1, ("B", ("B", "b")): 1,
+    }), [["a", "a", "b", "b"], ["a", "a", "b", "b", "b", "b"], ["a", "b"]]),
+    "no-binary": lambda: (model_from({("S", ("A",)): 1, ("A", ("a",)): 2, ("A", ("S",)): 1}),
+                          [["a"]]),
+    # Over "a b a" the spans of length 2 are X, which S -> X closes over,
+    # and Y, which no unary rule has as its child.
+    "mixed-diagonal": lambda: (model_from({
+        ("S", ("X",)): 2, ("S", ("X", "a")): 1, ("S", ("a", "Y")): 1,
+        ("X", ("a", "b")): 1, ("Y", ("b", "a")): 1,
+    }), [["a", "b", "a"]]),
+    "long": long_sentence_case,
 }
 
 
@@ -267,6 +291,21 @@ class TestFillOracle:
             want = fill_tables(scalar_viterbi_fill, tags, g)
             for name, a, b in zip(("best", "back_op", "back_split"), got, want):
                 assert np.array_equal(a, b), (case, tags, name)
+
+    def test_cases_have_the_shapes_they_cover(self):
+        no_unary = compile_pcfg(ORACLE_CASES["no-unary"]()[0])
+        assert no_unary.un_rules == [] and no_unary.bin_rules
+        no_binary = compile_pcfg(ORACLE_CASES["no-binary"]()[0])
+        assert no_binary.bin_rules == [] and no_binary.un_rules
+        _, sentences = ORACLE_CASES["long"]()
+        assert all(len(tags) >= 25 for tags in sentences)
+        # One diagonal holds a span the unary closure runs on and one it skips.
+        model, [tags] = ORACLE_CASES["mixed-diagonal"]()
+        g = compile_pcfg(model)
+        best, _, _ = fill_tables(scalar_viterbi_fill, tags, g)
+        spans = np.arange(len(tags) - 1)
+        fires = (best[spans, spans + 2][:, g.un_child] > NEG_INF).any(axis=1)
+        assert fires.tolist() == [True, False]
 
     def test_ties_go_to_first_rule_then_first_split(self):
         tree, lp = viterbi_parse(["c", "c", "c"], tie_model())

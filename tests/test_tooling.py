@@ -43,3 +43,23 @@ def test_traced_beam_parse_counts_states_and_shifts():
     assert counts["lc_parser.shift_calls"] > 0
     # Tree recovery and replay are timed only while they are called by name.
     assert {"lc_parser.recover_tree", "derivation.replay"} <= set(traced["spans"])
+
+
+def test_traced_chart_parse_counts_rule_span_ops():
+    # A renamed fill kernel, or reordered arguments, would zero these.
+    out = run_fresh(
+        "import json, tracer\n"
+        "from plcg import chart\n"
+        "from plcg.induction import induce_pcfg\n"
+        "from plcg.treebank import read_trees\n"
+        "model = induce_pcfg(read_trees('(S (NP DT NN) (VP VB (NP PRP)))'))\n"
+        "tr = tracer.Tracer(); tracer.install(tr)\n"
+        "phase = tr.open_phase('round')\n"
+        "assert chart.viterbi_parse(['DT', 'NN', 'VB', 'PRP'], model)\n"
+        "tr.close_phase(phase)\n"
+        "print(json.dumps({'counts': {name: v for (_, name), v in tr.counts.items()},\n"
+        "                  'spans': [tr.names[i] for i in tr.name_id]}))\n"
+    )
+    traced = json.loads(out)
+    assert traced["counts"]["chart.rule_span_ops"] > 0
+    assert "chart.viterbi_fill" in traced["spans"]

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from conftest import t
+from conftest import chain, t
 from plcg.corpus import random_tree
 from plcg.treebank import (
     PreprocessOptions,
@@ -184,6 +184,13 @@ def test_tree_is_hashable_and_frozen():
     assert a == b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.label = "C"
+
+
+@pytest.mark.parametrize("right", [True, False])
+def test_deep_trees_compare_and_hash_without_recursing(right):
+    a, b = chain(3000, right), chain(3000, right)
+    assert a == b and hash(a) == hash(b)
+    assert a != chain(3000, right, leaf="b")
 
 
 def test_pipeline_order_strip_then_fold_then_root():
