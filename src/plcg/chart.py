@@ -110,17 +110,38 @@ def viterbi_parse(tags: Sequence[str], model: PcfgModel) -> Optional[tuple[Tree,
 
 
 def _extract(g: CompiledPcfg, tags, back_op, back_split, i, j, sym) -> Tree:
-    op = back_op[i, j, sym]
-    if op == -1:
-        return Tree(tags[i])
-    if op <= -2:
-        rule = g.un_rules[-2 - op]
-        return Tree(rule.lhs, (_extract(g, tags, back_op, back_split, i, j, g.sym_ids[rule.rhs[0]]),))
-    rule = g.bin_rules[op]
-    m = back_split[i, j, sym]
-    left = _extract(g, tags, back_op, back_split, i, m, g.sym_ids[rule.rhs[0]])
-    right = _extract(g, tags, back_op, back_split, m, j, g.sym_ids[rule.rhs[1]])
-    return Tree(rule.lhs, (left, right))
+    """The Viterbi tree of ``sym`` over ``i..j`` from the back-pointers,
+    read from an explicit stack so a long sentence's tree does not meet the
+    recursion limit."""
+    # Each entry's (op, label), parents before children and right children
+    # before left ones; reversed, each node follows its children.
+    order = []
+    todo = [(i, j, sym)]
+    while todo:
+        i, j, sym = todo.pop()
+        op = back_op[i, j, sym]
+        if op == -1:
+            order.append((op, tags[i]))
+        elif op <= -2:
+            rule = g.un_rules[-2 - op]
+            order.append((op, rule.lhs))
+            todo.append((i, j, g.sym_ids[rule.rhs[0]]))
+        else:
+            rule = g.bin_rules[op]
+            m = back_split[i, j, sym]
+            order.append((op, rule.lhs))
+            todo.append((i, m, g.sym_ids[rule.rhs[0]]))
+            todo.append((m, j, g.sym_ids[rule.rhs[1]]))
+    done: list[Tree] = []
+    for op, label in reversed(order):
+        if op == -1:
+            done.append(Tree(label))
+        elif op <= -2:
+            done[-1] = Tree(label, (done[-1],))
+        else:
+            right = done.pop()
+            done[-1] = Tree(label, (done[-1], right))
+    return done[0]
 
 
 def sentence_probability(tags: Sequence[str], model: PcfgModel) -> float:

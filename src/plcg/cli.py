@@ -338,11 +338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, TreeReadError, ModelFormatError, YieldMismatchError, ValueError) as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return 2
-    except RecursionError:
-        # The tree walks recurse once per level of nesting.
-        print("%s: error: input nested too deeply (Python recursion limit %d)"
-              % (parser.prog, sys.getrecursionlimit()), file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

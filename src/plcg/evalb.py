@@ -28,30 +28,35 @@ class YieldMismatchError(ValueError):
 
 def brackets(t: Tree, include_unary: bool) -> Counter:
     """Multiset of (start, end, label) spans over terminal positions."""
-    spans: list[tuple[int, int, str, int]] = []  # + tree depth for outermost-wins
-
-    def walk(node: Tree, start: int, depth: int) -> int:
-        if node.is_leaf:
-            return start + 1
-        end = start
-        for c in node.children:
-            end = walk(c, end, depth + 1)
-        if node.is_preterminal:
-            return end
-        if depth == 0 and node.label == ROOT_LABEL:
-            return end
-        spans.append((start, end, node.label, depth))
-        return end
-
-    walk(t, 0, 0)
+    starts: list[int] = []
+    ends: list[int] = []
+    labels: list[str] = []
+    todo: list = [t]
+    if t.label == ROOT_LABEL and not t.is_preterminal:  # the wrapper is not a bracket
+        todo = list(t.children[::-1])
+    pos = 0
+    while todo:
+        node = todo.pop()
+        if node.__class__ is int:  # every leaf of span ``node`` is counted
+            ends[node] = pos
+            continue
+        kids = node.children
+        if not kids or (len(kids) == 1 and not kids[0].children):
+            pos += 1  # a leaf, or a preterminal over one leaf
+            continue
+        todo.append(len(starts))
+        starts.append(pos)
+        ends.append(pos)
+        labels.append(node.label)
+        todo += kids[::-1]
+    spans = zip(starts, ends, labels)
     if include_unary:
-        return Counter((i, j, lab) for i, j, lab, _ in spans)
-    outermost: dict[tuple[int, int], tuple[int, str]] = {}
-    for i, j, lab, depth in spans:
-        key = (i, j)
-        if key not in outermost or depth < outermost[key][0]:
-            outermost[key] = (depth, lab)
-    return Counter((i, j, lab) for (i, j), (_, lab) in outermost.items())
+        return Counter(spans)
+    # Spans come top-down, so the first label of a span is its outermost.
+    outermost: dict[tuple[int, int], str] = {}
+    for i, j, lab in spans:
+        outermost.setdefault((i, j), lab)
+    return Counter({(i, j, lab): 1 for (i, j), lab in outermost.items()})
 
 
 def _crossing(test_spans: set[tuple[int, int]], gold_spans: set[tuple[int, int]]) -> int:
@@ -64,22 +69,28 @@ def _crossing(test_spans: set[tuple[int, int]], gold_spans: set[tuple[int, int]]
     return count
 
 
+def _unlabelled(spans: Counter) -> Counter:
+    return Counter((i, j) for i, j, _ in spans.elements())
+
+
+def _matched(gold: Counter, test: Counter) -> int:
+    return sum((gold & test).values())
+
+
 def score(
     gold: Tree, test: Tree, labelled: bool, include_unary: bool,
 ) -> tuple[int, int, int, int]:
     """Per-sentence (matched, gold_count, test_count, crossing)."""
     if leaves(gold) != leaves(test):
         raise YieldMismatchError()
-    gb = brackets(gold, include_unary)
-    tb = brackets(test, include_unary)
+    g_outer, t_outer = brackets(gold, False), brackets(test, False)
+    gb, tb = g_outer, t_outer
+    if include_unary:
+        gb, tb = brackets(gold, True), brackets(test, True)
     if not labelled:
-        gb = Counter((i, j) for i, j, _ in gb.elements())
-        tb = Counter((i, j) for i, j, _ in tb.elements())
-    matched = sum((gb & tb).values())
-    gold_spans = {(i, j) for i, j, _ in brackets(gold, False)}
-    test_spans = {(i, j) for i, j, _ in brackets(test, False)}
-    crossing = _crossing(test_spans, gold_spans)
-    return matched, sum(gb.values()), sum(tb.values()), crossing
+        gb, tb = _unlabelled(gb), _unlabelled(tb)
+    crossing = _crossing({(i, j) for i, j, _ in t_outer}, {(i, j) for i, j, _ in g_outer})
+    return _matched(gb, tb), sum(gb.values()), sum(tb.values()), crossing
 
 
 @dataclass
@@ -98,15 +109,28 @@ class SentenceScore:
 
 
 def score_pair(gold: Tree, test: Tree) -> SentenceScore:
-    m, g, t, cb = score(gold, test, labelled=False, include_unary=False)
-    lm, lg, lt, _ = score(gold, test, labelled=True, include_unary=False)
-    pm, pg, pt, _ = score(gold, test, labelled=True, include_unary=True)
+    words = leaves(gold)
+    if words != leaves(test):
+        raise YieldMismatchError()
+    return _score_pair(gold, test, len(words))
+
+
+def _score_pair(gold: Tree, test: Tree, length: int) -> SentenceScore:
+    """Every figure of one pair from two bracket sets per tree: outermost
+    labels only (unlabelled, labelled, crossing) and unary-inclusive (+1).
+    Each span occurs once in an outermost set, so the set sizes are the
+    bracket counts."""
+    g_outer, t_outer = brackets(gold, False), brackets(test, False)
+    g_all, t_all = brackets(gold, True), brackets(test, True)
+    g_spans = {(i, j) for i, j, _ in g_outer}
+    t_spans = {(i, j) for i, j, _ in t_outer}
     return SentenceScore(
-        length=len(leaves(gold)),
-        matched=m, gold=g, test=t,
-        lab_matched=lm, lab_gold=lg, lab_test=lt,
-        plus1_matched=pm, plus1_gold=pg, plus1_test=pt,
-        crossing=cb,
+        length=length,
+        matched=len(g_spans & t_spans), gold=len(g_spans), test=len(t_spans),
+        lab_matched=_matched(g_outer, t_outer), lab_gold=len(g_outer), lab_test=len(t_outer),
+        plus1_matched=_matched(g_all, t_all),
+        plus1_gold=sum(g_all.values()), plus1_test=sum(t_all.values()),
+        crossing=_crossing(t_spans, g_spans),
     )
 
 
@@ -162,9 +186,10 @@ def score_corpus(
         raise ValueError("gold and test corpora differ in size")
     scores = []
     for idx, (g, t) in enumerate(zip(golds, tests)):
-        if leaves(g) != leaves(t):
+        words = leaves(g)
+        if words != leaves(t):
             raise YieldMismatchError(idx)
-        if max_length is not None and len(leaves(g)) > max_length:
+        if max_length is not None and len(words) > max_length:
             continue
-        scores.append(score_pair(g, t))
+        scores.append(_score_pair(g, t, len(words)))
     return aggregate(scores), len(scores)

@@ -12,7 +12,7 @@ from collections import defaultdict
 from typing import Sequence
 
 from .grammar_types import PcfgModel, Rule
-from .treebank import Tree
+from .treebank import Tree, first_node, post_order
 
 SEPARATOR = "@"
 
@@ -30,37 +30,49 @@ def _check_label(label: str) -> str:
 
 
 def binarize_tree(t: Tree) -> Tree:
-    if t.is_leaf:
-        _check_label(t.label)
-        return t
-    _check_label(t.label)
-    children = [binarize_tree(c) for c in t.children]
-    if len(children) <= 2:
-        return Tree(t.label, tuple(children))
-    head, rest = children[0], children[1:]
-    tail_label = t.label + SEPARATOR + head.label
-    tail = _binarize_tail(tail_label, rest)
-    return Tree(t.label, (head, tail))
-
-
-def _binarize_tail(label: str, children: list[Tree]) -> Tree:
-    if len(children) <= 2:
-        return Tree(label, tuple(children))
-    head, rest = children[0], children[1:]
-    return Tree(label, (head, _binarize_tail(label + SEPARATOR + head.label, rest)))
+    """Tail-binarize every node of ``t`` in one bottom-up pass.  Each node
+    with n >= 3 children becomes a right chain of n - 2 tail nodes, built
+    from the right."""
+    done: list[Tree] = []
+    for node in post_order(t):
+        if SEPARATOR in node.label:  # report the first in pre-order
+            _check_label(first_node(t, lambda nd: SEPARATOR in nd.label).label)
+        n = len(node.children)
+        if not n:
+            done.append(node)
+            continue
+        kids = done[-n:]
+        del done[-n:]
+        if n <= 2:
+            done.append(Tree(node.label, tuple(kids)))
+            continue
+        labels = [node.label]
+        for c in kids[:-2]:
+            labels.append(labels[-1] + SEPARATOR + c.label)
+        tail = Tree(labels[-1], (kids[-2], kids[-1]))
+        for i in range(n - 3, -1, -1):
+            tail = Tree(labels[i], (kids[i], tail))
+        done.append(tail)
+    return done[0]
 
 
 def debinarize_tree(t: Tree) -> Tree:
-    if t.is_leaf:
-        return t
-    children: list[Tree] = []
-    for c in t.children:
-        dc = debinarize_tree(c)
-        if SEPARATOR in dc.label and not dc.is_leaf:
-            children.extend(dc.children)
-        else:
-            children.append(dc)
-    return Tree(t.label, tuple(children))
+    """Splice every non-leaf ``@`` node into its parent, bottom-up."""
+    done: list[Tree] = []
+    for node in post_order(t):
+        n = len(node.children)
+        if not n:
+            done.append(node)
+            continue
+        children: list[Tree] = []
+        for dc in done[-n:]:
+            if dc.children and SEPARATOR in dc.label:
+                children.extend(dc.children)
+            else:
+                children.append(dc)
+        del done[-n:]
+        done.append(Tree(node.label, tuple(children)))
+    return done[0]
 
 
 def binarize_corpus(trees: Sequence[Tree]) -> list[Tree]:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import io
+import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 EMPTY_MARKER = "-NONE-"
 ROOT_LABEL = "ROOT"
@@ -83,67 +85,62 @@ class PreprocessOptions:
     unary_mode: UnaryMode = UnaryMode.KEEP
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            yield c, i
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            yield text[i:j], i
-            i = j
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _token_offset(text: str, index: int) -> int:
+    """Offset of the ``index``-th token.  Only errors need one, so the
+    reader's tokens carry none."""
+    return next(itertools.islice(_TOKEN.finditer(text), index, None)).start()
 
 
 def read_trees(source: str | TextIO) -> list[Tree]:
     """Parse zero or more bracketed trees.  An outer unlabelled wrapper
-    ``( ... )`` around a single tree is unwrapped."""
+    ``( ... )`` around a single tree is unwrapped.  One pass over the tokens
+    builds the nodes on an explicit stack, so depth is not bounded by Python
+    recursion."""
     text = source if isinstance(source, str) else source.read()
-    tokens = list(_tokenize(text))
+    # The same tokens as _TOKEN finds: brackets and the runs between them.
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     trees: list[Tree] = []
-    pos = 0
-
-    def parse_node(at_top: bool) -> Tree:
-        nonlocal pos
-        tok, off = tokens[pos]
-        if tok == ")":
-            raise TreeReadError("unexpected ')'", off)
-        if tok != "(":
-            pos += 1
-            return Tree(tok)
-        open_off = off
-        pos += 1
-        if pos >= len(tokens):
-            raise TreeReadError("unbalanced brackets", len(text))
-        label_tok, label_off = tokens[pos]
-        label = None
-        if label_tok not in "()":
-            label = label_tok
-            pos += 1
-        children = []
-        while True:
-            if pos >= len(tokens):
-                raise TreeReadError("unbalanced brackets", len(text))
-            tok, off = tokens[pos]
-            if tok == ")":
-                pos += 1
-                break
-            children.append(parse_node(False))
-        if label is None:
-            if at_top and len(children) == 1:
-                return children[0]
-            raise TreeReadError("empty label", open_off)
-        if not children:
-            raise TreeReadError("node %r has no children" % label, open_off)
-        return Tree(label, tuple(children))
-
-    while pos < len(tokens):
-        trees.append(parse_node(True))
+    # Per open node: its label (None until read), the children list it
+    # belongs to, and the token index of its "(".
+    labels: list = []
+    outer: list[list] = []
+    opens: list[int] = []
+    children = trees
+    at_label = False
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            outer.append(children)
+            children = []
+            labels.append(None)
+            opens.append(i)
+            at_label = True
+        elif tok == ")":
+            at_label = False
+            if not labels:
+                raise TreeReadError("unexpected ')'", _token_offset(text, i))
+            label = labels.pop()
+            opened = opens.pop()
+            kids = children
+            children = outer.pop()
+            if label is None:
+                if not labels and len(kids) == 1:
+                    children.append(kids[0])
+                    continue
+                raise TreeReadError("empty label", _token_offset(text, opened))
+            if not kids:
+                raise TreeReadError("node %r has no children" % label,
+                                    _token_offset(text, opened))
+            children.append(Tree(label, tuple(kids)))
+        elif at_label:
+            labels[-1] = tok
+            at_label = False
+        else:
+            children.append(Tree(tok))
+    if labels:
+        raise TreeReadError("unbalanced brackets", len(text))
     return trees
 
 
@@ -172,44 +169,80 @@ def write_trees(trees: Iterable[Tree]) -> str:
     return "".join(write_tree(t) + "\n" for t in trees)
 
 
-def _strip_function_tags(t: Tree) -> Tree:
-    if t.is_leaf:
-        return t
-    label = t.label
-    # Labels starting with the delimiter (-NONE-, -LRB-, ...) stay intact.
-    if label[0] not in FUNCTION_DELIMITERS:
-        for d in FUNCTION_DELIMITERS:
-            head, _, _ = label.partition(d)
-            label = head
-    return Tree(label, tuple(_strip_function_tags(c) for c in t.children))
+def post_order(t: Tree) -> list[Tree]:
+    """Every node of ``t``, each after the whole subtree of its left
+    sibling and after its own children.  A bottom-up rebuild that pushes one
+    result per node finds a node's child results as the last
+    ``len(children)`` entries, left to right."""
+    order = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += node.children
+    order.reverse()
+    return order
 
 
-def _strip_empties(t: Tree) -> Tree | None:
-    if t.is_leaf:
-        return t
-    if t.is_preterminal:
-        return None if t.label == EMPTY_MARKER else t
-    kept = []
-    for c in t.children:
-        sc = _strip_empties(c)
-        if sc is not None:
-            kept.append(sc)
-    if not kept:
-        return None
-    return Tree(t.label, tuple(kept))
+def first_node(t: Tree, test: Callable[[Tree], bool]) -> Tree | None:
+    """The first node of ``t`` in pre-order for which ``test`` holds: the
+    one a top-down recursive walk would meet first."""
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if test(node):
+            return node
+        todo += node.children[::-1]
+    return None
 
 
-def _fold_once(t: Tree, mode: UnaryMode) -> Tree:
-    if t.is_leaf or t.is_preterminal:
-        return t
-    children = tuple(_fold_once(c, mode) for c in t.children)
-    if len(children) == 1 and not children[0].is_leaf:
-        child = children[0]
-        if mode is UnaryMode.FOLD_UP:
-            return child
-        if mode is UnaryMode.FOLD_DOWN:
-            return Tree(t.label, child.children)
-    return Tree(t.label, children)
+def _rebuild(t: Tree, strip_tags: bool, strip_empties: bool, mode: UnaryMode) -> Tree | None:
+    """Function-tag stripping, empty-node removal and unary folding in one
+    bottom-up pass; None when no pronounced word is left.
+
+    A node folds (hoists its child for fold_up, takes its grandchildren for
+    fold_down) when it has one child left and that child is not a leaf, so
+    children fold before their parents and one pass reaches the fixpoint.
+    A top ``ROOT`` node with one child does not fold."""
+    fold = mode is not UnaryMode.KEEP
+    up = mode is UnaryMode.FOLD_UP
+    done: list = []
+    nones = 0  # how many entries of done are None
+    for node in post_order(t):
+        kids = node.children
+        if not kids:
+            done.append(node)
+            continue
+        label = node.label
+        # Labels starting with the delimiter (-NONE-, -LRB-, ...) stay intact.
+        if strip_tags and label[0] not in FUNCTION_DELIMITERS:
+            label = label.partition("-")[0].partition("=")[0]
+        n = len(kids)
+        if n == 1 and not kids[0].children:  # preterminal; its leaf is done[-1]
+            if strip_empties and label == EMPTY_MARKER:
+                done[-1] = None
+                nones += 1
+            elif label != node.label:
+                done[-1] = Tree(label, kids)
+            else:
+                done[-1] = node
+            continue
+        new = done[-n:]
+        del done[-n:]
+        if nones:
+            kept = [c for c in new if c is not None]
+            nones -= n - len(kept)
+            if not kept:
+                done.append(None)
+                nones += 1
+                continue
+            new = kept
+        if (fold and len(new) == 1 and new[0].children
+                and not (label == ROOT_LABEL and node is t)):
+            done.append(new[0] if up else Tree(label, new[0].children))
+        else:
+            done.append(Tree(label, tuple(new)))
+    return done[0]
 
 
 def fold_unaries(t: Tree, mode: UnaryMode) -> Tree:
@@ -217,29 +250,21 @@ def fold_unaries(t: Tree, mode: UnaryMode) -> Tree:
     it with the parent (fold_down).  One pass reaches the fixpoint, because
     it folds the children first.  The unary branch under an existing root
     wrapper is left alone."""
-    if isinstance(mode, str):
-        mode = UnaryMode(mode)
+    mode = UnaryMode(mode)
     if mode is UnaryMode.KEEP:
         return t
-    if t.label == ROOT_LABEL and len(t.children) == 1:
-        return Tree(t.label, (_fold_once(t.children[0], mode),))
-    return _fold_once(t, mode)
+    return _rebuild(t, False, False, mode)
 
 
 def preprocess(t: Tree, opts: PreprocessOptions) -> Tree:
     """Apply the standard pipeline: function-tag stripping, empty-node
     removal, optional unary folding, and root wrapping."""
-    if opts.strip_function_tags:
-        t = _strip_function_tags(t)
-    if opts.strip_empties:
-        stripped = _strip_empties(t)
-        if stripped is None:
-            raise VacuousTreeError("tree has no pronounced words after stripping")
-        t = stripped
-    t = fold_unaries(t, opts.unary_mode)
-    if opts.add_root and t.label != ROOT_LABEL:
-        t = Tree(ROOT_LABEL, (t,))
-    return t
+    out = _rebuild(t, opts.strip_function_tags, opts.strip_empties, UnaryMode(opts.unary_mode))
+    if out is None:
+        raise VacuousTreeError("tree has no pronounced words after stripping")
+    if opts.add_root and out.label != ROOT_LABEL:
+        out = Tree(ROOT_LABEL, (out,))
+    return out
 
 
 def preprocess_corpus(
@@ -256,12 +281,20 @@ def preprocess_corpus(
 
 
 def leaves(t: Tree) -> list[str]:
-    if t.is_leaf:
-        return [t.label]
     out: list[str] = []
-    for c in t.children:
-        out.extend(leaves(c))
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node.children:
+            todo += node.children[::-1]
+        else:
+            out.append(node.label)
     return out
+
+
+def _mixes_leaves(node: Tree) -> bool:
+    n_leaves = sum(not c.children for c in node.children)
+    return 0 < n_leaves < len(node.children)
 
 
 def to_pos_tree(t: Tree) -> Tree:
@@ -271,15 +304,23 @@ def to_pos_tree(t: Tree) -> Tree:
     Expects word-level trees.  A node that mixes bare leaves with other
     children marks a tree already at tag level, whose unary phrases such as
     ``(NP PRP)`` would read as preterminals; it raises ValueError."""
-    if t.is_leaf:
-        return t
-    if t.is_preterminal:
-        return Tree(t.label)
-    n_leaves = sum(c.is_leaf for c in t.children)
-    if n_leaves and n_leaves < len(t.children):
-        raise ValueError("%s mixes bare leaves with phrases; expected a word-level tree: %s"
-                         % (t.label, write_tree(t)))
-    return Tree(t.label, tuple(to_pos_tree(c) for c in t.children))
+    done: list[Tree] = []
+    for node in post_order(t):
+        kids = node.children
+        if not kids:
+            done.append(node)
+        elif len(kids) == 1 and not kids[0].children:
+            done[-1] = Tree(node.label)
+        else:
+            n = len(kids)
+            if not all(c.children for c in kids) and _mixes_leaves(node):
+                bad = first_node(t, _mixes_leaves)
+                raise ValueError("%s mixes bare leaves with phrases; expected a word-level "
+                                 "tree: %s" % (bad.label, write_tree(bad)))
+            new = tuple(done[-n:])
+            del done[-n:]
+            done.append(Tree(node.label, new))
+    return done[0]
 
 
 def read_tree(text: str) -> Tree:
@@ -292,11 +333,12 @@ def read_tree(text: str) -> Tree:
 
 def iter_local_trees(t: Tree) -> Iterator[tuple[str, tuple[str, ...]]]:
     """(mother, child labels) for every non-leaf node, top-down."""
-    if t.is_leaf:
-        return
-    yield t.label, tuple(c.label for c in t.children)
-    for c in t.children:
-        yield from iter_local_trees(c)
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node.children:
+            yield node.label, tuple(c.label for c in node.children)
+            todo += node.children[::-1]
 
 
 def check_sequence(trees: Sequence[Tree]) -> Sequence[Tree]:

@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import t
+from conftest import chain, t
 from plcg import _kernels
 from plcg.chart import (
     TooManyParsesError,
     UnaryCycleError,
+    _extract,
     compile_pcfg,
     enumerate_parses,
     sentence_probability,
@@ -93,6 +94,19 @@ class TestViterbi:
         tree, lp = viterbi_parse(["a", "b", "c"], model)
         assert tree == trees[0]
         assert lp == pytest.approx(0.0)
+
+
+def test_tree_extraction_does_not_recurse():
+    # Back-pointers of the right-branching parse of 3,000 a's under
+    # S -> a S | a; the tree is as deep as the sentence is long.
+    g = compile_pcfg(model_from({("S", ("a", "S")): 1, ("S", ("a",)): 1}))
+    n, s_id, a_id = 3000, g.sym_ids["S"], g.sym_ids["a"]
+    back_op = {(i, i + 1, a_id): -1 for i in range(n)}
+    back_op.update({(i, n, s_id): g.bin_rules.index(Rule("S", ("a", "S"))) for i in range(n - 1)})
+    back_op[(n - 1, n, s_id)] = -2 - g.un_rules.index(Rule("S", ("a",)))
+    back_split = {(i, n, s_id): i + 1 for i in range(n - 1)}
+    tree = _extract(g, ["a"] * n, back_op, back_split, 0, n, s_id)
+    assert tree == chain(n - 1, right=True)
 
 
 class TestEnumeration:

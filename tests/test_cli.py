@@ -92,13 +92,6 @@ class TestInduce:
         code, _, err = run(capsys, ["induce", str(tagged), str(tmp_path / "m")])
         assert code == 2 and "word-level" in err
 
-    def test_deep_nesting_is_data_error(self, tmp_path, capsys):
-        deep = tmp_path / "deep.txt"
-        deep.write_text("(S " + "(X " * 1500 + "(NN a)" + ")" * 1501 + "\n")
-        code, _, err = run(capsys, ["induce", str(deep), str(tmp_path / "m")])
-        assert code == 2 and "error" in err and "nested too deeply" in err
-        assert "Traceback" not in err
-
     def test_delta_requires_binarize(self, workspace, capsys):
         code, _, err = run(
             capsys,
@@ -272,6 +265,27 @@ class TestStats:
         for row in rows:
             cells = [float(x.rstrip("%")) for x in row.split()[2:]]
             assert sum(cells) == pytest.approx(100.0, abs=0.5)
+
+
+def test_deep_and_wide_trees_go_through(tmp_path, capsys):
+    # Reading, preprocessing, binarization, derivations and scoring walk
+    # trees from explicit stacks, so neither a 1,500-level chain nor a
+    # 1,500-child node meets the recursion limit.
+    shapes = {"deep": "(S " + "(X " * 1500 + "(NN a)" + ")" * 1501 + "\n",
+              "wide": "(S" + " (NN a)" * 1500 + ")\n"}
+    for shape, text in shapes.items():
+        trees = tmp_path / (shape + ".txt")
+        trees.write_text(text)
+        model = str(tmp_path / "m")
+        for argv in (["induce", str(trees), model, "--model", "pcfg"],
+                     ["induce", str(trees), model, "--model", "plcg"],
+                     ["induce", str(trees), model, "--model", "delta", "--binarize"],
+                     ["eval", str(trees), str(trees)],
+                     ["stats", str(trees)]):
+            code, out, err = run(capsys, argv)
+            assert code == 0, (shape, argv, err)
+            if argv[0] == "eval":
+                assert "labelled_recall=1.0" in out
 
 
 def test_every_module_is_imported_by_the_cli():

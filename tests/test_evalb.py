@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 
 from conftest import t
-from plcg.corpus import random_tree_over_yield
+from plcg.corpus import generate_corpus, random_tree_over_yield
 from plcg.evalb import (
+    SentenceScore,
     YieldMismatchError,
     aggregate,
     brackets,
@@ -13,6 +14,7 @@ from plcg.evalb import (
     score_corpus,
     score_pair,
 )
+from plcg.treebank import PreprocessOptions, UnaryMode, leaves, preprocess
 
 # Attachment-ambiguity fixtures: flat treebank style and N-bar style.
 PENN_VP = t("(VP saw (NP the man) (PP with (NP a telescope)))")
@@ -141,3 +143,97 @@ class TestAggregate:
         with pytest.raises(YieldMismatchError) as info:
             score_corpus([t("(S a)"), t("(S b)")], [t("(S a)"), t("(S c)")])
         assert info.value.index == 1
+
+
+# Reference oracle: the recursive scorer that score_pair replaced, which
+# scores each of its three measures by separate walks over both trees.
+
+def _reference_leaves(tree):
+    return [tree.label] if tree.is_leaf else [w for c in tree.children
+                                              for w in _reference_leaves(c)]
+
+
+def _reference_brackets(tree, include_unary):
+    spans = []
+
+    def walk(node, start, depth):
+        if node.is_leaf:
+            return start + 1
+        end = start
+        for c in node.children:
+            end = walk(c, end, depth + 1)
+        if not node.is_preterminal and not (depth == 0 and node.label == "ROOT"):
+            spans.append((start, end, node.label, depth))
+        return end
+
+    walk(tree, 0, 0)
+    if include_unary:
+        return Counter((i, j, lab) for i, j, lab, _ in spans)
+    outermost = {}
+    for i, j, lab, depth in spans:
+        if (i, j) not in outermost or depth < outermost[(i, j)][0]:
+            outermost[(i, j)] = (depth, lab)
+    return Counter((i, j, lab) for (i, j), (_, lab) in outermost.items())
+
+
+def _reference_score(gold, test, labelled, include_unary):
+    if _reference_leaves(gold) != _reference_leaves(test):
+        raise YieldMismatchError()
+    gb = _reference_brackets(gold, include_unary)
+    tb = _reference_brackets(test, include_unary)
+    if not labelled:
+        gb = Counter((i, j) for i, j, _ in gb.elements())
+        tb = Counter((i, j) for i, j, _ in tb.elements())
+    gold_spans = {(i, j) for i, j, _ in _reference_brackets(gold, False)}
+    test_spans = {(i, j) for i, j, _ in _reference_brackets(test, False)}
+    crossing = sum(any(a < i < b < j or i < a < j < b for a, b in gold_spans)
+                   for i, j in test_spans)
+    return sum((gb & tb).values()), sum(gb.values()), sum(tb.values()), crossing
+
+
+def reference_score_pair(gold, test):
+    m, g, tn, cb = _reference_score(gold, test, False, False)
+    lm, lg, lt, _ = _reference_score(gold, test, True, False)
+    pm, pg, pt, _ = _reference_score(gold, test, True, True)
+    return SentenceScore(len(_reference_leaves(gold)), m, g, tn, lm, lg, lt, pm, pg, pt, cb)
+
+
+def oracle_pairs(rng):
+    """Gold/test pairs over equal yields: treebank trees under every unary
+    mode, each against the others and against random bracketings, and
+    random bracketings against each other."""
+    pairs = []
+    for tree in generate_corpus(12, seed=rng.randint(0, 99), raw=True):
+        forms = [preprocess(tree, PreprocessOptions(add_root=r, unary_mode=m))
+                 for m in UnaryMode for r in (True, False)]
+        forms.append(random_tree_over_yield(rng, leaves(forms[0])))
+        pairs += [(g, s) for g in forms for s in forms]
+    for _ in range(150):
+        words = ["w%d" % i for i in range(rng.randint(1, 12))]
+        pairs.append((random_tree_over_yield(rng, words), random_tree_over_yield(rng, words)))
+    return pairs
+
+
+def test_score_pair_matches_reference(rng):
+    for gold, test in oracle_pairs(rng):
+        assert score_pair(gold, test) == reference_score_pair(gold, test), (gold, test)
+        for labelled in (False, True):
+            for unary in (False, True):
+                assert score(gold, test, labelled, unary) == _reference_score(
+                    gold, test, labelled, unary)
+    for include_unary in (False, True):
+        for gold, _ in oracle_pairs(rng):
+            assert brackets(gold, include_unary) == _reference_brackets(gold, include_unary)
+
+
+def test_score_corpus_matches_reference(rng):
+    golds, tests = zip(*oracle_pairs(rng))
+    want = [reference_score_pair(g, s) for g, s in zip(golds, tests)]
+    for max_length in (None, 4):
+        kept = [s for s in want if max_length is None or s.length <= max_length]
+        assert score_corpus(golds, tests, max_length) == (aggregate(kept), len(kept))
+
+
+def test_score_pair_checks_yields():
+    with pytest.raises(YieldMismatchError):
+        score_pair(t("(S a b)"), t("(S a c)"))

@@ -63,3 +63,29 @@ def test_traced_chart_parse_counts_rule_span_ops():
     traced = json.loads(out)
     assert traced["counts"]["chart.rule_span_ops"] > 0
     assert "chart.viterbi_fill" in traced["spans"]
+
+
+def test_traced_induce_and_eval_count_trees_and_brackets(tmp_path):
+    # The reader, preprocessing and scoring are timed only while cli calls
+    # them by these names; a rename would zero their per-layer metrics.
+    trees = tmp_path / "trees.mrg"
+    trees.write_text("(S (NP-SBJ (DT the) (NN dog)) (VP (VB saw) (NP (PRP it))))\n"
+                     "(S (NP-SBJ (-NONE- *)) (VP (VB go)))\n")
+    out = run_fresh(
+        "import contextlib, io, json, tracer\n"
+        "from plcg import cli\n"
+        "tr = tracer.Tracer(); tracer.install(tr)\n"
+        "phase = tr.open_phase('round')\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['induce', %r, %r]) == 0\n"
+        "    assert cli.main(['eval', %r, %r]) == 0\n"
+        "tr.close_phase(phase)\n"
+        "print(json.dumps({'counts': {name: v for (_, name), v in tr.counts.items()},\n"
+        "                  'spans': [tr.names[i] for i in tr.name_id]}))\n"
+        % (str(trees), str(tmp_path / "m.plcg"), str(trees), str(trees))
+    )
+    traced = json.loads(out)
+    assert traced["counts"]["treebank.trees"] > 0
+    assert traced["counts"]["evalb.brackets"] > 0
+    assert {"treebank.read_trees", "treebank.preprocess_corpus",
+            "evalb.score_corpus"} <= set(traced["spans"])

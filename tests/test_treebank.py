@@ -3,7 +3,7 @@ import io
 import pytest
 
 from conftest import chain, t
-from plcg.corpus import random_tree
+from plcg.corpus import generate_corpus, random_tree
 from plcg.treebank import (
     PreprocessOptions,
     Tree,
@@ -11,6 +11,7 @@ from plcg.treebank import (
     UnaryMode,
     VacuousTreeError,
     fold_unaries,
+    iter_local_trees,
     leaves,
     preprocess,
     preprocess_corpus,
@@ -20,6 +21,245 @@ from plcg.treebank import (
     write_tree,
     write_trees,
 )
+
+
+# Reference oracles: the recursive reader and pipeline that read_trees,
+# preprocess and to_pos_tree replaced.  They recurse once per level, so they
+# serve only on shallow trees.
+
+def _reference_tokens(text):
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            yield c, i
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            yield text[i:j], i
+            i = j
+
+
+def reference_read_trees(text):
+    tokens = list(_reference_tokens(text))
+    trees = []
+    pos = 0
+
+    def parse_node(at_top):
+        nonlocal pos
+        tok, off = tokens[pos]
+        if tok == ")":
+            raise TreeReadError("unexpected ')'", off)
+        if tok != "(":
+            pos += 1
+            return Tree(tok)
+        open_off = off
+        pos += 1
+        if pos >= len(tokens):
+            raise TreeReadError("unbalanced brackets", len(text))
+        label = None
+        if tokens[pos][0] not in "()":
+            label = tokens[pos][0]
+            pos += 1
+        children = []
+        while True:
+            if pos >= len(tokens):
+                raise TreeReadError("unbalanced brackets", len(text))
+            if tokens[pos][0] == ")":
+                pos += 1
+                break
+            children.append(parse_node(False))
+        if label is None:
+            if at_top and len(children) == 1:
+                return children[0]
+            raise TreeReadError("empty label", open_off)
+        if not children:
+            raise TreeReadError("node %r has no children" % label, open_off)
+        return Tree(label, tuple(children))
+
+    while pos < len(tokens):
+        trees.append(parse_node(True))
+    return trees
+
+
+def _reference_strip_function_tags(t):
+    if t.is_leaf:
+        return t
+    label = t.label
+    if label[0] not in "-=":
+        for d in "-=":
+            label = label.partition(d)[0]
+    return Tree(label, tuple(_reference_strip_function_tags(c) for c in t.children))
+
+
+def _reference_strip_empties(t):
+    if t.is_leaf:
+        return t
+    if t.is_preterminal:
+        return None if t.label == "-NONE-" else t
+    kept = [c for c in map(_reference_strip_empties, t.children) if c is not None]
+    return Tree(t.label, tuple(kept)) if kept else None
+
+
+def _reference_fold(t, mode):
+    if t.is_leaf or t.is_preterminal:
+        return t
+    children = tuple(_reference_fold(c, mode) for c in t.children)
+    if len(children) == 1 and not children[0].is_leaf:
+        if mode is UnaryMode.FOLD_UP:
+            return children[0]
+        if mode is UnaryMode.FOLD_DOWN:
+            return Tree(t.label, children[0].children)
+    return Tree(t.label, children)
+
+
+def reference_preprocess(t, opts):
+    if opts.strip_function_tags:
+        t = _reference_strip_function_tags(t)
+    if opts.strip_empties:
+        t = _reference_strip_empties(t)
+        if t is None:
+            raise VacuousTreeError("tree has no pronounced words after stripping")
+    if opts.unary_mode is not UnaryMode.KEEP:
+        if t.label == "ROOT" and len(t.children) == 1:
+            t = Tree(t.label, (_reference_fold(t.children[0], opts.unary_mode),))
+        else:
+            t = _reference_fold(t, opts.unary_mode)
+    if opts.add_root and t.label != "ROOT":
+        t = Tree("ROOT", (t,))
+    return t
+
+
+def reference_to_pos_tree(t):
+    if t.is_leaf:
+        return t
+    if t.is_preterminal:
+        return Tree(t.label)
+    n_leaves = sum(c.is_leaf for c in t.children)
+    if n_leaves and n_leaves < len(t.children):
+        raise ValueError("%s mixes bare leaves with phrases; expected a word-level tree: %s"
+                         % (t.label, write_tree(t)))
+    return Tree(t.label, tuple(reference_to_pos_tree(c) for c in t.children))
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type, message and offset."""
+    try:
+        return fn(*args)
+    except ValueError as exc:  # TreeReadError and VacuousTreeError too
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def annotate(rng, tree):
+    """``tree`` with treebank noise added: function tags on phrase labels,
+    ``-NONE-`` empties beside and under phrases, and a ``ROOT`` top now
+    and then."""
+    def walk(node, depth):
+        if node.is_leaf or node.is_preterminal:
+            return node
+        kids = [walk(c, depth + 1) for c in node.children]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            empty = Tree("-NONE-", (Tree(rng.choice(["*", "0", "*T*-1"])),))
+            if rng.random() < 0.5:
+                empty = Tree(rng.choice(["NP-SBJ", "WHNP-1", "SBAR"]), (empty,))
+            kids.insert(rng.randint(0, len(kids)), empty)
+        label = node.label
+        if rng.random() < 0.4:
+            label += rng.choice(["-SBJ", "-TMP", "=2", "-LOC-1", "-PRD=3"])
+        return Tree(label, tuple(kids))
+
+    out = walk(tree, 0)
+    if rng.random() < 0.15:
+        out = Tree(rng.choice(["ROOT", "ROOT-1"]), (out,))
+    return out
+
+
+def oracle_trees(rng):
+    trees = list(generate_corpus(40, seed=rng.randint(0, 99), raw=True))
+    trees += [random_tree(rng, max_depth=5) for _ in range(40)]
+    trees += [Tree("S", (Tree("-NONE-", (Tree("*"),)),)), t("(-NONE- *)"), Tree("w"),
+              t("(ROOT (S (NP (-NONE- *)) (VP (VB go))))"), t("(S (-LRB- -LRB-) (NN x))")]
+    return trees + [annotate(rng, tree) for tree in trees]
+
+
+class TestOracles:
+    """The one-pass reader, preprocessing and tag reduction against the
+    recursive code they replaced."""
+
+    def test_preprocess_matches_reference(self, rng):
+        all_opts = [PreprocessOptions(add_root=r, strip_empties=e, strip_function_tags=f,
+                                      unary_mode=m)
+                    for r in (True, False) for e in (True, False) for f in (True, False)
+                    for m in UnaryMode]
+        for tree in oracle_trees(rng):
+            for opts in all_opts:
+                assert outcome(preprocess, tree, opts) == outcome(
+                    reference_preprocess, tree, opts), (write_tree(tree), opts)
+            for mode in UnaryMode:
+                keep = PreprocessOptions(add_root=False, strip_empties=False,
+                                         strip_function_tags=False, unary_mode=mode)
+                assert fold_unaries(tree, mode) == reference_preprocess(tree, keep)
+
+    def test_to_pos_tree_matches_reference(self, rng):
+        for tree in oracle_trees(rng):
+            for mode in UnaryMode:
+                pre = outcome(preprocess, tree, PreprocessOptions(unary_mode=mode))
+                if isinstance(pre, Tree):
+                    assert outcome(to_pos_tree, pre) == outcome(reference_to_pos_tree, pre)
+            assert outcome(to_pos_tree, tree) == outcome(reference_to_pos_tree, tree)
+
+    def test_leaves_and_local_trees_match_a_recursive_walk(self, rng):
+        def walk(node):
+            if node.is_leaf:
+                return [node.label], []
+            words, local = [], [(node.label, tuple(c.label for c in node.children))]
+            for c in node.children:
+                w, lt = walk(c)
+                words += w
+                local += lt
+            return words, local
+
+        for tree in oracle_trees(rng):
+            assert (leaves(tree), list(iter_local_trees(tree))) == walk(tree)
+
+    def test_reader_matches_reference(self, rng):
+        texts = ["", "w", "(S a)", "( (S a) )", "( a )", "(S\t(NP x)\u00a0(VP y))\n\x1c(A b)",
+                 "(S (NP x)\u2003(VP\x85y))",
+                 "(S (NP x) ( (VP y)))"]
+        for tree in oracle_trees(rng):
+            text = write_tree(tree)
+            texts += [text, "( %s )" % text, text.replace(" ", "\n  ").replace(")", " ) ")]
+        for text in texts:
+            assert outcome(read_trees, text) == outcome(reference_read_trees, text), text
+
+    def test_malformed_input_errors_match_reference(self, rng):
+        cases = {
+            "stray close": "(S a)\n) (S b)",
+            "empty label": "(S ( (NP x) (VP y)))",
+            "no children": "(S (NP x) (VP))",
+            "truncated": "(S (NP x) (VP (VB y",
+            "unwrapped pair": "( (S a) (S b) )",
+        }
+        for name, text in cases.items():
+            got = outcome(read_trees, text)
+            assert got[0] is TreeReadError, name
+            assert got == outcome(reference_read_trees, text), name
+        # Every cut, doubled and swapped bracket of a small file.
+        text = write_trees(generate_corpus(4, seed=2, raw=True))
+        marks = [i for i, c in enumerate(text) if c in "()"]
+        variants = [text[:cut] for cut in range(0, len(text), 7)]
+        for _ in range(200):
+            i, j = rng.sample(marks, 2)
+            variants.append(text[:i] + text[i] + text[i:])
+            swapped = list(text)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            variants.append("".join(swapped))
+        for variant in variants:
+            assert outcome(read_trees, variant) == outcome(reference_read_trees, variant), variant
 
 
 class TestReading:
