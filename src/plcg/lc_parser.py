@@ -20,8 +20,11 @@ are at most ``n_best`` per stack, and for one best parse the k best
 distinct stacks.  The expansion looks one tag ahead: it reads tables
 filtered by the next tag, so it builds only the states that can still shift
 that tag.  A state holds its derivation as a shared-tail pair (last move,
-earlier moves), so branching a state copies no moves.  States are kept in
-build order and sorted stably, so a tie goes to the earlier-built state.
+earlier moves), so branching a state copies no moves, and its stack as an
+int, interned in a ``StackTable`` that lives for one parse: a push is one
+dict probe, a pop one list read, and recombining stacks compares ints.
+States are kept in build order and sorted stably, so a tie goes to the
+earlier-built state.
 """
 
 from __future__ import annotations
@@ -56,8 +59,35 @@ def move_list(moves: Optional[tuple]) -> list[LcMove]:
 SOUGHT, FOUND = "s", "f"
 
 
+class StackTable:
+    """The stacks of one parse, hash-consed: id 0 is the empty stack, and id
+    i > 0 is entry ``top[i]`` pushed on stack ``below[i]``, ``depth[i]``
+    entries deep.  Equal stacks get one id, so ``stack[-3]`` is
+    ``top[below[below[i]]]`` and a stack is compared and hashed as an int.
+    Ids mean nothing outside their table; a parse makes its own, and no id
+    reaches the model's move tables."""
+
+    __slots__ = ("top", "below", "depth", "ids")
+
+    def __init__(self):
+        self.top: list = [None]
+        self.below: list[int] = [0]
+        self.depth: list[int] = [0]
+        self.ids: dict = {}  # (entry, id beneath) -> id
+
+    def push(self, stack: int, entry: tuple) -> int:
+        """The id of ``entry`` pushed on stack ``stack``."""
+        n = len(self.top)
+        pushed = self.ids.setdefault((entry, stack), n)
+        if pushed == n:
+            self.top.append(entry)
+            self.below.append(stack)
+            self.depth.append(self.depth[stack] + 1)
+        return pushed
+
+
 class ParserState(NamedTuple):
-    stack: tuple
+    stack: int  # id in the parse's StackTable
     moves: Optional[tuple]  # (last move, earlier moves); None when empty
     log_prob: float
 
@@ -65,13 +95,14 @@ class ParserState(NamedTuple):
     def complete(self) -> bool:
         return not self.stack
 
-    @property
-    def needs_shift(self) -> bool:
-        return bool(self.stack) and self.stack[-1][0] == SOUGHT
+
+# Builds a ParserState without NamedTuple's Python-level __new__.
+_new = tuple.__new__
 
 
-def initial_state(start: str) -> ParserState:
-    return ParserState(((SOUGHT, start),), None, 0.0)
+def initial_state(start: str, stacks: StackTable) -> ParserState:
+    """The state seeking ``start``, its stack interned in ``stacks``."""
+    return ParserState(stacks.push(0, (SOUGHT, start)), None, 0.0)
 
 
 _ATTACH = LcMove.attach()
@@ -157,63 +188,86 @@ def _shift_table(model: PlcgModel, tag: str) -> dict:
 
 
 def shift_successor(
-    state: ParserState, tag: str, model: PlcgModel | DeltaModel
+    state: ParserState, tag: str, model: PlcgModel | DeltaModel, stacks: StackTable,
 ) -> Optional[ParserState]:
-    """The single forced shift when a sought category is exposed."""
+    """The single forced shift when a sought category is exposed; the new
+    stack is interned in ``stacks``, the table holding the state's."""
     base = model.base if isinstance(model, DeltaModel) else model
-    entry = _shift_table(base, tag).get(state.stack[-1])
+    stack = state.stack
+    entry = _shift_table(base, tag).get(stacks.top[stack])
     if entry is None:
         return None
     move, lp = entry
-    return ParserState(state.stack + ((FOUND, tag),), (move, state.moves),
-                       state.log_prob + lp)
+    return _new(ParserState, (stacks.push(stack, (FOUND, tag)), (move, state.moves),
+                              state.log_prob + lp))
 
 
 def successors(
-    state: ParserState, model: PlcgModel | DeltaModel, variant: str = "base",
-    tag: Optional[str] = None,
+    state: ParserState, model: PlcgModel | DeltaModel, stacks: StackTable,
+    variant: str = "base", tag: Optional[str] = None,
 ) -> list[ParserState]:
-    """Attach/project successors of a state whose top is a found corner.
+    """Attach/project successors of a state whose top is a found corner,
+    their stacks interned in ``stacks``, the table holding the state's.
 
     Probability increments over all successors sum to one at any context
     seen in training.  With the next ``tag``, only the successors that can
     still shift it."""
     stack = state.stack
-    if not stack or stack[-1][0] == SOUGHT:
+    top = stacks.top
+    corner = top[stack]
+    if not stack or corner[0] == SOUGHT:
         return []
+    below = stacks.below
+    goal = below[stack]
+    beneath = below[goal]
+    depth = stacks.depth
     # The decision point, with the stack depth for delta; with a next tag,
-    # also the entry beneath the goal, which moves that push nothing expose.
-    below = stack[-3] if tag is not None and len(stack) > 2 else None
-    key = (variant, stack[-1][1], stack[-2][1],
-           len(stack) - 1 if variant == "delta" else None, tag, below)
+    # also the entry beneath the goal, which moves that push nothing expose
+    # (None for an empty stack).
+    key = (variant, corner[1], top[goal][1], depth[stack] - 1 if variant == "delta" else None,
+           tag, top[beneath] if tag is not None else None)
     table = model.move_tables.get(key)
     if table is None:
         table = model.move_tables[key] = _compile_moves(model, *key)
     moves, log_prob = state.moves, state.log_prob
-    return [ParserState(stack[:-pop] + push, (move, moves), log_prob + lp)
-            for move, pop, push, lp in table]
+    ids = stacks.ids
+    out = []
+    for move, pop, push, lp in table:
+        # StackTable.push, inlined.
+        pushed = goal if pop == 1 else beneath
+        for entry in push:
+            n = len(top)
+            parent, pushed = pushed, ids.setdefault((entry, pushed), n)
+            if pushed == n:
+                top.append(entry)
+                below.append(parent)
+                depth.append(depth[parent] + 1)
+        out.append(_new(ParserState, (pushed, (move, moves), log_prob + lp)))
+    return out
 
 
 def _closure(
-    states: list[ParserState], model, variant: str, tag: Optional[str] = None,
-    keep: Optional[int] = None,
+    states: list[ParserState], model, stacks: StackTable, variant: str,
+    tag: Optional[str] = None, keep: Optional[int] = None,
 ) -> list[ParserState]:
     """Expand attach/project moves to a fixpoint within a word boundary, for
     at most ``MAX_NONSHIFT`` rounds, and return the states in build order.
-    With the next ``tag``, build only the states that can still shift it.
-    With ``keep``, hold only the ``keep`` best states per stack, the earlier
-    one on a tie, and return those; without, return every derivation, and
-    raise TooManyDerivationsError past ``STATE_LIMIT`` states."""
+    Stacks live in ``stacks``.  With the next ``tag``, build only the states
+    that can still shift it.  With ``keep``, hold only the ``keep`` best
+    states per stack, the earlier one on a tie, and return those; without,
+    return every derivation, and raise TooManyDerivationsError past
+    ``STATE_LIMIT`` states."""
     if keep is not None:
-        return _recombined_closure(states, model, variant, tag, keep)
+        return _recombined_closure(states, model, stacks, variant, tag, keep)
+    top = stacks.top
     out = list(states)
     frontier = list(states)
     rounds = 0
     while frontier and rounds < MAX_NONSHIFT:
         nxt: list[ParserState] = []
         for st in frontier:
-            if st.stack and st.stack[-1][0] == FOUND:
-                nxt.extend(successors(st, model, variant, tag))
+            if st.stack and top[st.stack][0] == FOUND:
+                nxt.extend(successors(st, model, stacks, variant, tag))
         out.extend(nxt)
         if len(out) > STATE_LIMIT:
             raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
@@ -223,7 +277,8 @@ def _closure(
 
 
 def _recombined_closure(
-    states: list[ParserState], model, variant: str, tag: Optional[str], keep: int,
+    states: list[ParserState], model, stacks: StackTable, variant: str,
+    tag: Optional[str], keep: int,
 ) -> list[ParserState]:
     """The closure holding the ``keep`` best states per stack.  A state
     enters only if it beats the worst one held for its stack, and a state
@@ -234,7 +289,8 @@ def _recombined_closure(
     more than one derivation (binarized nodes, or delta's composed
     projection against a projection and an attach).  Held states are
     returned in the order they entered, which is the order they were built."""
-    held: dict = {}
+    top = stacks.top
+    held: dict = {}  # stack id -> held state, or list of them best first
     entered: list[ParserState] = []
     complete: list[ParserState] = []
     offered, rounds = list(states), 0
@@ -272,10 +328,10 @@ def _recombined_closure(
         for st in frontier:
             stack = st.stack
             # By identity: equal states would compare whole derivations.
-            if stack and stack[-1][0] == FOUND and (
+            if stack and top[stack][0] == FOUND and (
                     held[stack] is st if keep == 1
                     else any(other is st for other in held[stack])):
-                offered += successors(st, model, variant, tag)
+                offered += successors(st, model, stacks, variant, tag)
         rounds += 1
     if keep == 1:
         return list(held.values())
@@ -300,7 +356,8 @@ def _complete_states(
     hold the ``n_best`` best states per stack, and only the ``k`` best
     states that can shift the next tag survive each word boundary; without,
     every derivation is kept, and a closure may build at most
-    ``STATE_LIMIT`` states."""
+    ``STATE_LIMIT`` states.  The parse's stacks live in one StackTable,
+    dropped when it returns."""
     if not tags:
         raise ValueError("empty tag sequence")
     if variant not in VARIANTS:
@@ -309,20 +366,22 @@ def _complete_states(
         raise TypeError("delta variant needs a DeltaModel")
     base = model.base if isinstance(model, DeltaModel) else model
     keep = None if k is None else n_best
-    beam = [initial_state(model.start)]
+    stacks = StackTable()
+    top = stacks.top
+    beam = [initial_state(model.start, stacks)]
     for tag in tags:
-        pool = _closure(beam, model, variant, tag, keep)
+        pool = _closure(beam, model, stacks, variant, tag, keep)
         # The closure built only states that can still shift the tag; found
         # corners on top, carried in or built on the way, are dropped here.
         shifts = _shift_table(base, tag)
-        pool = [st for st in pool if st.stack and st.stack[-1] in shifts]
+        pool = [st for st in pool if top[st.stack] in shifts]
         if k is not None:
             pool.sort(key=_rank)
             del pool[k:]
-        beam = [shift_successor(st, tag, model) for st in pool]
+        beam = [shift_successor(st, tag, model, stacks) for st in pool]
         if not beam:
             return []
-    final = _closure(beam, model, variant, keep=keep)
+    final = _closure(beam, model, stacks, variant, keep=keep)
     return sorted((st for st in final if st.complete), key=_rank)
 
 

@@ -9,8 +9,9 @@ Record kinds:
   DPROJ <depth> <delta> <lc> <gc> <lhs> <rhs...> <count>  (delta)
 
 Counts are stored, probabilities re-derived on load, so normalization stays
-checkable.  Every count is at least 1, and an ATT record has
-0 <= attach_count <= total_count with total_count >= 1.  Records are
+checkable.  Every count is at least 1, an ATT record has
+0 <= attach_count <= total_count with total_count >= 1, and the rule of a
+PROJ or DPROJ record (other than <attach>) starts with its <lc>.  Records are
 emitted sorted: saving is deterministic and round-trips byte-exactly.
 """
 
@@ -89,6 +90,13 @@ def _count(field: str) -> int:
     return c
 
 
+def _projection(lc: str, lhs: str, rhs: list[str]) -> Rule:
+    if not rhs or rhs[0] != lc:
+        raise ValueError("rule %s -> %s does not start with left corner %s"
+                         % (lhs, " ".join(rhs), lc))
+    return Rule(lhs, tuple(rhs))
+
+
 def loads(text: str) -> Model:
     lines = text.splitlines()
     if not lines:
@@ -128,7 +136,7 @@ def loads(text: str) -> Model:
                 att[(fields[1], fields[2])] = (attach, total)
             elif tag == "PROJ":
                 gc, lc = fields[1], fields[2]
-                rule = Rule(fields[3], tuple(fields[4:-1]))
+                rule = _projection(lc, fields[3], fields[4:-1])
                 proj.setdefault((lc, gc), {})[rule] = _count(fields[-1])
             elif tag == "DELTA":
                 depth, lc, gc = int(fields[1]), fields[2], fields[3]
@@ -136,7 +144,7 @@ def loads(text: str) -> Model:
             elif tag == "DPROJ":
                 depth, delta, lc, gc = int(fields[1]), int(fields[2]), fields[3], fields[4]
                 body = fields[5:-1]
-                rule = ATTACH_RULE if body == [ATTACH_RULE.lhs] else Rule(body[0], tuple(body[1:]))
+                rule = ATTACH_RULE if body == [ATTACH_RULE.lhs] else _projection(lc, body[0], body[1:])
                 drules.setdefault((lc, gc, depth, delta), {})[rule] = _count(fields[-1])
             else:
                 raise ModelFormatError("unknown record kind %r" % tag)

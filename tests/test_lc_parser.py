@@ -17,6 +17,7 @@ from plcg.lc_parser import (
     FOUND,
     SOUGHT,
     ParserState,
+    StackTable,
     TooManyDerivationsError,
     _closure,
     _shift_table,
@@ -28,6 +29,7 @@ from plcg.lc_parser import (
     successors,
 )
 from plcg.derivation import LcMove
+from plcg.model_io import dumps, loads
 from plcg.transforms import binarize_corpus
 from plcg.treebank import (
     PreprocessOptions,
@@ -74,6 +76,30 @@ def sample_models(variant):
     return trees, model, model
 
 
+def state_of(stacks, entries, moves=None, log_prob=0.0) -> ParserState:
+    """A state whose stack holds ``entries``, bottom first, interned in
+    ``stacks``."""
+    stack = 0
+    for entry in entries:
+        stack = stacks.push(stack, entry)
+    return ParserState(stack, moves, log_prob)
+
+
+def stack_of(stacks, state) -> tuple:
+    """The entries of ``state``'s stack, bottom first, read from ``stacks``."""
+    out, stack = [], state.stack
+    while stack:
+        out.append(stacks.top[stack])
+        stack = stacks.below[stack]
+    return tuple(reversed(out))
+
+
+def can_shift(stacks, state, shifts) -> bool:
+    """Whether ``state`` exposes a sought entry of the shift table ``shifts``."""
+    stack = stack_of(stacks, state)
+    return bool(stack) and stack[-1] in shifts
+
+
 def count_built_states(monkeypatch) -> list[int]:
     """Patch ``successors`` to record how many states each call builds."""
     built = []
@@ -86,6 +112,24 @@ def count_built_states(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(lc_parser, "successors", counting)
     return built
+
+
+@pytest.fixture
+def attachment_corpus():
+    """Attachment and compound ambiguity, so derivations meet on equal
+    stacks."""
+    return [
+        t("(S (NP PRP) (VP VB (NP DT NN) (PP IN (NP DT NN))))"),
+        t("(S (NP PRP) (VP VB (NP (NP DT NN) (PP IN (NP DT NN)))))"),
+        t("(S (NP PRP) (VP (VP VB (NP DT NN)) (PP IN (NP DT NN))))"),
+        t("(S (NP (NP NN) (NP NN)) (VP VB))"),
+        t("(S (NP NN NN) (VP VB (NP NN)))"),
+        t("(S (NP (NP DT NN) (PP IN (NP NN NN))) (VP VB))"),
+    ]
+
+
+# Two PP attachments: three readings under the attachment corpus.
+TWO_PPS = ["PRP", "VB", "DT", "NN", "IN", "DT", "NN", "IN", "DT", "NN"]
 
 
 @pytest.fixture
@@ -109,37 +153,41 @@ class TestMoveList:
 
     def test_empty_derivation(self):
         assert move_list(None) == []
-        assert move_list(initial_state("T").moves) == []
+        assert move_list(initial_state("T", StackTable()).moves) == []
 
     def test_successors_share_the_parent_derivation(self, nested_model):
-        state = shift_successor(initial_state("T"), "c", nested_model)
-        (child,) = successors(state, nested_model)
+        stacks = StackTable()
+        state = shift_successor(initial_state("T", stacks), "c", nested_model, stacks)
+        (child,) = successors(state, nested_model, stacks)
         assert child.moves[1] is state.moves
         assert len(move_list(child.moves)) == 2
 
 
 class TestSuccessors:
     def test_shift_forced_on_sought_top(self, nested_model):
-        state = initial_state("T")
-        assert state.needs_shift
-        assert list(successors(state, nested_model)) == []
+        stacks = StackTable()
+        state = initial_state("T", stacks)
+        assert stack_of(stacks, state) == ((SOUGHT, "T"),)
+        assert list(successors(state, nested_model, stacks)) == []
 
     def test_shift_scores_by_goal(self, nested_model):
-        state = shift_successor(initial_state("T"), "c", nested_model)
+        stacks = StackTable()
+        state = shift_successor(initial_state("T", stacks), "c", nested_model, stacks)
         assert state is not None
         assert state.log_prob == pytest.approx(0.0)  # P_shift(c | T) = 1
-        assert shift_successor(initial_state("T"), "b", nested_model) is None
+        assert shift_successor(initial_state("T", stacks), "b", nested_model, stacks) is None
 
     def test_successor_probabilities_sum_to_one(self, nested_model):
         # At the (S, S) decision point, attach (3/4) and the S -> S b
         # projection (1/4) must exhaust the mass.
-        state = initial_state("T")
-        state = shift_successor(state, "c", nested_model)
-        for st in successors(state, nested_model):  # project T -> c S
+        stacks = StackTable()
+        state = initial_state("T", stacks)
+        state = shift_successor(state, "c", nested_model, stacks)
+        for st in successors(state, nested_model, stacks):  # project T -> c S
             state = st
-        state = shift_successor(state, "a", nested_model)
-        (state,) = successors(state, nested_model)  # project S -> a
-        branches = list(successors(state, nested_model))
+        state = shift_successor(state, "a", nested_model, stacks)
+        (state,) = successors(state, nested_model, stacks)  # project S -> a
+        branches = list(successors(state, nested_model, stacks))
         total = sum(math.exp(st.log_prob - state.log_prob) for st in branches)
         assert total == pytest.approx(1.0)
         probs = sorted(math.exp(st.log_prob - state.log_prob) for st in branches)
@@ -156,9 +204,9 @@ class TestSuccessors:
                     + ((SOUGHT, gc), (FOUND, lc)))
                    for depth, lc, gc in delta.delta_counts]
         assert {variant for variant, _, _ in points} == {"base", "delta"}
+        stacks = StackTable()
         for variant, model, stack in points:
-            state = ParserState(stack, None, 0.0)
-            branches = successors(state, model, variant)
+            branches = successors(state_of(stacks, stack), model, stacks, variant)
             total = math.fsum(math.exp(st.log_prob) for st in branches)
             assert total == pytest.approx(1.0), (variant, stack)
 
@@ -270,23 +318,27 @@ class TestLookahead:
         trees, model, base = sample_models(variant)
         dead = 0
         for tags in [leaves(tree) for tree in trees[:8]]:
-            beam = [initial_state(model.start)]
+            stacks = StackTable()
+            beam = [initial_state(model.start, stacks)]
             for tag in tags:
                 shifts = _shift_table(base, tag)
-                pool = _closure(beam, model, variant, tag)
+                pool = _closure(beam, model, stacks, variant, tag)
                 # Only the carried-in states, with the last tag found on top,
                 # may fail to shift; every state built can still shift tag.
                 for st in pool[len(beam):]:
-                    assert st.stack and (st.stack[-1][0] == FOUND or st.stack[-1] in shifts)
+                    stack = stack_of(stacks, st)
+                    assert stack and (stack[-1][0] == FOUND or stack[-1] in shifts)
                 # The closure without lookahead builds dead states, and the
                 # same shiftable states in the same order.
-                full = _closure(beam, model, variant)
-                dead += sum(st.needs_shift and st.stack[-1] not in shifts for st in full)
-                live = [st for st in pool if st.stack and st.stack[-1] in shifts]
-                assert [(st.stack, st.log_prob) for st in live] == [
-                    (st.stack, st.log_prob) for st in full if st.stack and st.stack[-1] in shifts]
+                full = _closure(beam, model, stacks, variant)
+                dead += sum(bool(stack) and stack[-1][0] == SOUGHT and stack[-1] not in shifts
+                            for stack in (stack_of(stacks, st) for st in full))
+                live = [st for st in pool if can_shift(stacks, st, shifts)]
+                assert [(stack_of(stacks, st), st.log_prob) for st in live] == [
+                    (stack_of(stacks, st), st.log_prob) for st in full
+                    if can_shift(stacks, st, shifts)]
                 live.sort(key=lambda st: -st.log_prob)
-                beam = [shift_successor(st, tag, model) for st in live[:20]]
+                beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
             assert beam
         assert dead > 0
 
@@ -311,8 +363,9 @@ class TestBounds:
         assert best and best[0][0] == gold
         for rounds in (lc_parser.MAX_NONSHIFT, 7):
             monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
-            found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), None, 0.0)
-            pool = _closure([found_np], model, "base", "VB")
+            stacks = StackTable()
+            found_np = state_of(stacks, ((SOUGHT, "S"), (FOUND, "NP")))
+            pool = _closure([found_np], model, stacks, "base", "VB")
             # Each round adds one move; the NP -> NP chain alone never ends.
             assert max(len(move_list(st.moves)) for st in pool) == rounds
 
@@ -320,8 +373,9 @@ class TestBounds:
         # NP -> NP cannot beat the found NP it projects from, so the beam's
         # closure stops after the one projection that can shift VB.
         built = count_built_states(monkeypatch)
-        found_np = ParserState(((SOUGHT, "S"), (FOUND, "NP")), None, 0.0)
-        pool = _closure([found_np], np_loop_model, "base", "VB", keep=1)
+        stacks = StackTable()
+        found_np = state_of(stacks, ((SOUGHT, "S"), (FOUND, "NP")))
+        pool = _closure([found_np], np_loop_model, stacks, "base", "VB", keep=1)
         assert max(len(move_list(st.moves)) for st in pool) == 1
         assert 0 < sum(built) < 5 < lc_parser.MAX_NONSHIFT
 
@@ -340,35 +394,123 @@ class TestBounds:
         assert 0 < sum(built) < 100000
 
 
-class TestRecombination:
-    @pytest.fixture
-    def attachment_corpus(self):
-        """Attachment and compound ambiguity, so derivations meet on equal
-        stacks."""
-        return [
-            t("(S (NP PRP) (VP VB (NP DT NN) (PP IN (NP DT NN))))"),
-            t("(S (NP PRP) (VP VB (NP (NP DT NN) (PP IN (NP DT NN)))))"),
-            t("(S (NP PRP) (VP (VP VB (NP DT NN)) (PP IN (NP DT NN))))"),
-            t("(S (NP (NP NN) (NP NN)) (VP VB))"),
-            t("(S (NP NN NN) (VP VB (NP NN)))"),
-            t("(S (NP (NP DT NN) (PP IN (NP NN NN))) (VP VB))"),
-        ]
+class TestStackTable:
+    def test_push_interns_and_unfolding_inverts(self):
+        stacks = StackTable()
+        entries = ((SOUGHT, "S"), (FOUND, "NP"), (SOUGHT, "VP"))
+        state = state_of(stacks, entries)
+        stack = state.stack
+        assert stack_of(stacks, state) == entries
+        assert state_of(stacks, ()).stack == 0 and stack_of(stacks, state_of(stacks, ())) == ()
+        assert stacks.depth[stack] == 3
+        assert state_of(stacks, entries).stack == stack
+        assert state_of(stacks, entries[:2]).stack == stacks.below[stack]
+        # A pop then the same push finds the same id; another entry does not.
+        assert stacks.push(stacks.below[stack], (SOUGHT, "VP")) == stack
+        other = ParserState(stacks.push(stacks.below[stack], (SOUGHT, "PP")), None, 0.0)
+        assert other.stack != stack
+        assert stack_of(stacks, other) == entries[:2] + ((SOUGHT, "PP"),)
 
+    @pytest.mark.parametrize("variant", ["base", "delta"])
+    def test_equal_stacks_get_one_id(self, variant, attachment_corpus):
+        if variant == "delta":
+            model = induce_delta_model(binarize_corpus(attachment_corpus))
+            base = model.base
+        else:
+            model = base = induce_plcg(attachment_corpus)
+        shared = 0
+        for tags in [leaves(tree) for tree in attachment_corpus] + [TWO_PPS]:
+            stacks = StackTable()
+            beam = [initial_state(model.start, stacks)]
+            for tag in tags:
+                full = _closure(beam, model, stacks, variant, tag)
+                ids: dict = {}
+                for st in full:
+                    ids.setdefault(stack_of(stacks, st), set()).add(st.stack)
+                assert all(len(group) == 1 for group in ids.values())
+                assert len({st.stack for st in full}) == len(ids)
+                shared += len(full) - len(ids)
+                shifts = _shift_table(base, tag)
+                live = sorted((st for st in full if can_shift(stacks, st, shifts)),
+                              key=lambda st: -st.log_prob)
+                beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
+            assert beam
+        # Some of those stacks were reached by more than one derivation.
+        assert shared > 0
+
+    @pytest.mark.parametrize("variant", ["base", "delta"])
+    def test_unfolded_stacks_are_the_tuple_machine_stacks(self, variant):
+        # The tuple machine: a successor's stack is ``stack[:-pop] + push``
+        # for each row of the state's move table, and a shift's is the stack
+        # with the found tag on top.
+        trees, model, base = sample_models(variant)
+        checked = 0
+        for tags in [leaves(tree) for tree in trees[:8]]:
+            stacks = StackTable()
+            beam = [initial_state(model.start, stacks)]
+            for tag in tags:
+                pool = _closure(beam, model, stacks, variant, tag)
+                for st in pool:
+                    stack = stack_of(stacks, st)
+                    children = successors(st, model, stacks, variant, tag)
+                    if not stack or stack[-1][0] == SOUGHT:
+                        assert children == []
+                        continue
+                    key = (variant, stack[-1][1], stack[-2][1],
+                           len(stack) - 1 if variant == "delta" else None, tag,
+                           stack[-3] if len(stack) > 2 else None)
+                    rows = model.move_tables[key]
+                    assert [(stack_of(stacks, child), child.log_prob) for child in children] == [
+                        (stack[:-pop] + push, st.log_prob + lp) for _, pop, push, lp in rows]
+                    checked += len(children)
+                shifts = _shift_table(base, tag)
+                live = [st for st in pool if can_shift(stacks, st, shifts)]
+                beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
+                assert [stack_of(stacks, st) for st in beam] == [
+                    stack_of(stacks, st) + ((FOUND, tag),) for st in live[:20]]
+            assert beam
+        assert checked > 0
+
+    @pytest.mark.parametrize("variant", ["base", "delta"])
+    def test_parse_does_not_depend_on_earlier_parses(self, variant, attachment_corpus):
+        corpus = attachment_corpus
+        model = induce_delta_model(binarize_corpus(corpus)) if variant == "delta" \
+            else induce_plcg(corpus)
+        text = dumps(model)
+        first = [leaves(tree) for tree in corpus] + [TWO_PPS]
+        for second in ([leaves(tree) for tree in corpus[::-1]]
+                       + [TWO_PPS, ["NN", "NN", "NN", "VB", "NN", "NN", "IN", "NN", "NN"]]):
+            for n_best in (1, 3):
+                used = loads(text)
+                for tags in first:
+                    beam_parse(tags, used, k=10, n_best=n_best, variant=variant)
+                fresh = loads(text)
+                again = beam_parse(second, used, k=10, n_best=n_best, variant=variant)
+                assert again == beam_parse(second, fresh, k=10, n_best=n_best, variant=variant)
+                # The move tables hold entries, never a parse's stack ids.
+                for key, table in fresh.move_tables.items():
+                    assert used.move_tables[key] == table
+
+
+class TestRecombination:
     def test_closure_keeps_the_best_states_and_the_earlier_on_ties(self, nested_model):
         # Equal sought stacks, carried in out of order; none can expand.
         lps = [-2.0, -1.0, -3.0, -0.5, -1.0, -0.7]
-        states = [ParserState(((SOUGHT, "T"),), i, lp) for i, lp in enumerate(lps)]
+        stacks = StackTable()
+        states = [state_of(stacks, ((SOUGHT, "T"),), i, lp) for i, lp in enumerate(lps)]
         for keep, marks in ((1, [3]), (2, [3, 5]), (3, [3, 5, 1]), (5, [3, 5, 1, 4, 0])):
-            held = _closure(states, nested_model, "base", keep=keep)
+            held = _closure(states, nested_model, stacks, "base", keep=keep)
             assert sorted(st.moves for st in held) == sorted(marks)
 
     def test_ties_across_stacks_go_to_the_earlier_built_state(self, nested_model):
         # X' beats X on stack A and ties Y, built before it on stack B; the
         # beam's stable sort must rank Y first.  None can expand.
         a, b = ((SOUGHT, "A"),), ((SOUGHT, "B"),)
-        states = [ParserState(a, 0, -2.0), ParserState(b, 1, -1.0), ParserState(a, 2, -1.0)]
+        stacks = StackTable()
+        states = [state_of(stacks, a, 0, -2.0), state_of(stacks, b, 1, -1.0),
+                  state_of(stacks, a, 2, -1.0)]
         for keep, marks in ((1, [1, 2]), (3, [1, 2, 0])):
-            held = _closure(states, nested_model, "base", keep=keep)
+            held = _closure(states, nested_model, stacks, "base", keep=keep)
             assert [st.moves for st in sorted(held, key=lc_parser._rank)] == marks
 
     @pytest.mark.parametrize("variant", ["base", "delta"])
@@ -380,31 +522,31 @@ class TestRecombination:
             base = model.base
         else:
             model = base = induce_plcg(attachment_corpus)
-        two_pps = ["PRP", "VB", "DT", "NN", "IN", "DT", "NN", "IN", "DT", "NN"]
-        cases.append((model, base, [leaves(tree) for tree in attachment_corpus] + [two_pps]))
+        cases.append((model, base, [leaves(tree) for tree in attachment_corpus] + [TWO_PPS]))
         shared = 0
         for model, base, sentences in cases:
             for tags in sentences:
-                beam = [initial_state(model.start)]
+                stacks = StackTable()
+                beam = [initial_state(model.start, stacks)]
                 for tag in tags:
-                    full = _closure(beam, model, variant, tag)
+                    full = _closure(beam, model, stacks, variant, tag)
                     scores: dict = {}
                     for st in full:
-                        scores.setdefault(st.stack, []).append(st.log_prob)
+                        scores.setdefault(stack_of(stacks, st), []).append(st.log_prob)
                     shared += len(full) - len(scores)
                     # keep=1 is the 1-best beam's; keep=3 an n-best one's.
                     for keep in (1, 3):
                         held: dict = {}
-                        for st in _closure(beam, model, variant, tag, keep=keep):
-                            held.setdefault(st.stack, []).append(st.log_prob)
+                        for st in _closure(beam, model, stacks, variant, tag, keep=keep):
+                            held.setdefault(stack_of(stacks, st), []).append(st.log_prob)
                         assert held.keys() == scores.keys()
                         for stack, lps in scores.items():
                             best = sorted(lps, reverse=True)[:keep]
                             assert sorted(held[stack], reverse=True) == best
                     shifts = _shift_table(base, tag)
-                    live = sorted((st for st in full if st.stack and st.stack[-1] in shifts),
+                    live = sorted((st for st in full if can_shift(stacks, st, shifts)),
                                   key=lambda st: -st.log_prob)
-                    beam = [shift_successor(st, tag, model) for st in live[:20]]
+                    beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
                 assert beam
         assert shared > 0
 

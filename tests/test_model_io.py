@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import t
+from plcg.cli import main
 from plcg.grammar_types import ATTACH_RULE, DeltaModel, PcfgModel, PlcgModel
 from plcg.induction import induce_delta_model, induce_pcfg, induce_plcg
 from plcg.model_io import (
@@ -132,6 +133,40 @@ class TestFormatErrors:
         for att, total in ((35, 30), (-1, 30), (0, 0), (1, 0), (-2, -1)):
             with pytest.raises(ModelFormatError, match="attach count"):
                 loads(head + "ATT\tS\tS\t%d\t%d\n" % (att, total))
+
+
+    def test_projection_must_start_with_its_left_corner(self, tmp_path, capsys):
+        # A rule that does not start with the record's corner can never be
+        # used, so such a model would lose parses without a word.
+        trees = tmp_path / "trees.mrg"
+        trees.write_text("(S (NP (DT the) (NN dog)) (VP (VB saw) (NP (PRP it))))\n"
+                         "(S (NP (PRP it)) (VP (VB go)))\n")
+        tags = tmp_path / "tags.txt"
+        tags.write_text("DT NN VB PRP\n")
+        for kind, good, bad in (
+            ("plcg", "PROJ\tROOT\tDT\tNP\tDT\tNN\t1", "PROJ\tROOT\tDT\tS\tNP\tVP\t1"),
+            ("delta", "DPROJ\t1\t1\tDT\tROOT\tNP\tDT\tNN\t1",
+             "DPROJ\t1\t1\tDT\tROOT\tS\tNP\tVP\t1"),
+        ):
+            model = tmp_path / ("model." + kind)
+            argv = ["induce", str(trees), str(model), "--model", kind]
+            assert main(argv + (["--binarize"] if kind == "delta" else [])) == 0
+            text = model.read_text()
+            assert good + "\n" in text
+            assert main(["parse", str(model), str(tags)]) == 0
+            assert "-NOPARSE-" not in capsys.readouterr().out
+            model.write_text(text.replace(good + "\n", bad + "\n"))
+            lineno = text.splitlines().index(good) + 1
+            with pytest.raises(ModelFormatError, match="malformed line %d" % lineno):
+                load_model(model)
+            assert main(["parse", str(model), str(tags)]) == 2
+            assert "does not start with left corner DT" in capsys.readouterr().err
+        head = "PLCG-MODEL\t1\tdelta\tS\n"
+        assert loads(head + "DPROJ\t1\t-2\tA\tS\t<attach>\t1\n")
+        for record in ("PROJ\tS\tA\tS\tB\tA\t1", "PROJ\tS\tA\tS\t1",
+                       "DPROJ\t1\t-2\tA\tS\tS\tB\t1", "DPROJ\t1\t-2\tA\tS\tS\t1"):
+            with pytest.raises(ModelFormatError, match="malformed line 2"):
+                loads(head + record + "\n")
 
 
 def test_model_kind():

@@ -23,24 +23,40 @@ def test_tracer_installs_on_the_program():
 
 
 def test_traced_beam_parse_counts_states_and_shifts():
-    # A closure that stopped calling the patched functions would zero these.
+    # Exact counts on 20 generated sentences and 3 with attachment ambiguity,
+    # at k=3: a closure that stopped calling the patched functions, or that
+    # built states the beam built none of before, would move them.
     out = run_fresh(
         "import json, tracer\n"
         "from plcg import lc_parser\n"
-        "from plcg.induction import induce_plcg\n"
-        "from plcg.treebank import read_trees\n"
-        "model = induce_plcg(read_trees('(S (NP DT NN) (VP VB (NP PRP)))'))\n"
+        "from plcg.corpus import generate_corpus\n"
+        "from plcg.induction import induce_delta_model, induce_plcg\n"
+        "from plcg.transforms import binarize_corpus\n"
+        "from plcg.treebank import PreprocessOptions, leaves, preprocess_corpus, read_trees,"
+        " to_pos_tree\n"
+        "trees, _ = preprocess_corpus(generate_corpus(200, seed=3), PreprocessOptions())\n"
+        "trees = [to_pos_tree(tree) for tree in trees] + read_trees(\n"
+        "    '(ROOT (S (NP PRP) (VP VB (NP DT NN) (PP IN (NP DT NN)))))'\n"
+        "    '(ROOT (S (NP PRP) (VP VB (NP (NP DT NN) (PP IN (NP DT NN))))))'\n"
+        "    '(ROOT (S (NP PRP) (VP (VP VB (NP DT NN)) (PP IN (NP DT NN)))))')\n"
+        "sentences = [leaves(tree) for tree in trees[:20] + trees[-3:]]\n"
+        "models = {'base': induce_plcg(trees),"
+        " 'delta': induce_delta_model(binarize_corpus(trees))}\n"
         "tr = tracer.Tracer(); tracer.install(tr)\n"
-        "phase = tr.open_phase('round')\n"
-        "assert lc_parser.beam_parse(['DT', 'NN', 'VB', 'PRP'], model, k=10)\n"
-        "tr.close_phase(phase)\n"
-        "print(json.dumps({'counts': {name: v for (_, name), v in tr.counts.items()},\n"
-        "                  'spans': [tr.names[i] for i in tr.name_id]}))\n"
+        "out = {}\n"
+        "for variant, model in models.items():\n"
+        "    tr.counts.clear()\n"
+        "    phase = tr.open_phase(variant)\n"
+        "    for tags in sentences:\n"
+        "        assert lc_parser.beam_parse(tags, model, k=3, variant=variant)\n"
+        "    tr.close_phase(phase)\n"
+        "    out[variant] = {name: v for (_, name), v in tr.counts.items()}\n"
+        "print(json.dumps({'counts': out, 'spans': [tr.names[i] for i in tr.name_id]}))\n"
     )
     traced = json.loads(out)
-    counts = traced["counts"]
-    assert counts["lc_parser.states"] > 0
-    assert counts["lc_parser.shift_calls"] > 0
+    counts = {variant: (c["lc_parser.states"], c["lc_parser.shift_calls"])
+              for variant, c in traced["counts"].items()}
+    assert counts == {"base": (708, 208), "delta": (362, 182)}
     # Tree recovery and replay are timed only while they are called by name.
     assert {"lc_parser.recover_tree", "derivation.replay"} <= set(traced["spans"])
 
