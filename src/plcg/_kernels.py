@@ -16,6 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 NEG_INF = float("-inf")
+# Inside fill: unary passes per span, and the change that counts as none.
+MAX_UNARY_PASSES = 200
+UNARY_TOL = 1e-14
 
 
 def _lhs_runs(bin_lhs):
@@ -94,7 +97,7 @@ def _unary_closure(best, back_op, back_split, i, j, unary):
 
 
 def inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
-                 un_lhs, un_child, un_lp, inside, max_unary_passes, tol):
+                 un_lhs, un_child, un_lp, inside):
     """Fill the inside chart (log probabilities) in place."""
     starts, run_lhs, _ = _lhs_runs(bin_lhs)
     for length in range(1, n + 1):
@@ -109,12 +112,12 @@ def inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
             # Solve I = base + sum_unary by Jacobi iteration; exact in
             # finitely many passes on acyclic unary graphs.
             cur = base
-            for _ in range(max_unary_passes):
+            for _ in range(MAX_UNARY_PASSES):
                 nxt = base.copy()
                 np.logaddexp.at(nxt, un_lhs, un_lp + cur[un_child])
                 moved = np.flatnonzero(nxt != cur)
                 done = not (np.isneginf(cur[moved]).any()
-                            or (np.abs(nxt[moved] - cur[moved]) > tol).any())
+                            or (np.abs(nxt[moved] - cur[moved]) > UNARY_TOL).any())
                 cur = nxt
                 if done:
                     break

@@ -32,7 +32,6 @@ class UnaryCycleError(ValueError):
 class CompiledPcfg:
     """Binarized, integer-indexed form of a PCFG for the chart kernels."""
 
-    model: PcfgModel
     sym_ids: dict[str, int]
     syms: list[str]
     bin_rules: list[Rule]
@@ -56,7 +55,6 @@ def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
     bin_rules = sorted(r for r in binarized.rules if len(r.rhs) == 2)
     un_rules = sorted(r for r in binarized.rules if len(r.rhs) == 1)
     return CompiledPcfg(
-        model=binarized,
         sym_ids=ids,
         syms=syms,
         bin_rules=bin_rules,
@@ -156,7 +154,7 @@ def sentence_probability(tags: Sequence[str], model: PcfgModel) -> float:
     inside = np.full((n + 1, n + 1, n_syms), NEG_INF)
     _kernels.inside_fill(
         n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
-        g.un_lhs, g.un_child, g.un_lp, inside, 200, 1e-14,
+        g.un_lhs, g.un_child, g.un_lp, inside,
     )
     lp = inside[0, n, g.start_id]
     return math.exp(lp) if lp != NEG_INF else 0.0

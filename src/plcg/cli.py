@@ -18,8 +18,8 @@ from .derivation import derivation_events, stack_delta
 from .evalb import YieldMismatchError, score_corpus
 from .grammar_types import DeltaModel, Model, PcfgModel, PlcgModel
 from .induction import induce_delta_model, induce_pcfg, induce_plcg
-from .lc_parser import VARIANTS, beam_parse
-from .model_io import ModelFormatError, load_model, model_kind, save_model
+from .lc_parser import beam_parse
+from .model_io import ModelFormatError, load_model, save_model
 from .transforms import binarize_corpus
 from .treebank import (
     PreprocessOptions,
@@ -82,7 +82,7 @@ def _load_training_trees(args) -> list[Tree]:
     if not trees:
         raise ValueError("no usable trees in %s" % args.trees)
     trees = [to_pos_tree(t) for t in trees]
-    if getattr(args, "binarize", False):
+    if args.binarize or args.model == "delta":
         trees = binarize_corpus(trees)
     return trees
 
@@ -99,8 +99,6 @@ def _rule_counts(model: Model) -> dict:
 
 
 def cmd_induce(args) -> int:
-    if args.model == "delta" and not args.binarize:
-        raise UsageError("--model delta requires --binarize")
     trees = _load_training_trees(args)
     if args.model == "pcfg":
         model: Model = induce_pcfg(trees)
@@ -138,28 +136,18 @@ def _parse_sentence(tags: list[str], model: Model, args) -> list[tuple[Tree, flo
     if isinstance(model, PcfgModel):
         result = viterbi_parse(tags, model)
         return [result] if result is not None else []
-    return beam_parse(tags, model, k=args.beam, n_best=args.n_best, variant=args.variant)
-
-
-def _resolve_variant(args, kind: str) -> None:
-    """The model kind picks the parser: the chart for a pcfg, the
-    left-corner beam for plcg and delta models."""
-    if kind == "pcfg":
-        if args.variant is not None or args.beam is not None or args.n_best > 1:
-            raise UsageError("--variant, --beam and --n-best need a plcg or delta "
-                             "model, got pcfg")
-        return
-    if args.beam is None:
-        args.beam = DEFAULT_BEAM
-    if args.variant is None:
-        args.variant = "delta" if kind == "delta" else "base"
-    elif args.variant == "delta" and kind != "delta":
-        raise UsageError("--variant delta needs a delta model, got %s" % kind)
+    return beam_parse(tags, model, k=args.beam, n_best=args.n_best)
 
 
 def cmd_parse(args) -> int:
+    # The model kind picks the parser: the chart for a pcfg, the left-corner
+    # beam over the model's own tables for plcg and delta models.
     model = load_model(args.model)
-    _resolve_variant(args, model_kind(model))
+    if isinstance(model, PcfgModel):
+        if args.beam is not None or args.n_best > 1:
+            raise UsageError("--beam and --n-best need a plcg or delta model, got pcfg")
+    elif args.beam is None:
+        args.beam = DEFAULT_BEAM
     sentences = _read_tag_file(args.tags)
     parsed, log_probs = 0, []
     for tags in sentences:
@@ -273,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="model file to write")
     p.add_argument("--model", choices=["pcfg", "plcg", "delta"], default="plcg")
     p.add_argument("--binarize", action="store_true",
-                   help="binarize trees before induction (after unary folding)")
+                   help="binarize trees before induction (after unary folding; "
+                        "always done for --model delta)")
     p.add_argument("--top-rules", type=int, default=10, metavar="N",
                    help="how many top-frequency rules to print")
     _add_preprocess_flags(p)
@@ -282,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse tag sequences with a saved model")
     p.add_argument("model", help="model file")
     p.add_argument("tags", help="file with one space-separated tag sequence per line")
-    p.add_argument("--variant", choices=VARIANTS, default=None,
-                   help="left-corner machine variant (default: delta for a delta "
-                        "model, else base; plcg and delta models only)")
     p.add_argument("--beam", type=int, default=None, metavar="K",
                    help="beam width (default %d; plcg and delta models only)" % DEFAULT_BEAM)
     p.add_argument("--n-best", type=int, default=1, metavar="N")

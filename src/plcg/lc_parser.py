@@ -1,14 +1,14 @@
 """Probabilistic left-corner beam parser over tag sequences.
 
-One stack machine serves both variants.  At each decision point (a found
+One stack machine serves both models.  At each decision point (a found
 corner on top, its goal beneath) it reads the model's move table: one
 (move, entries popped, entries pushed, log-prob) per successor, built on
-first use and kept on the model.  The variants differ only in the tables:
-  base  - attach decided when a completed corner sits on its goal; a PLCG,
-          or the PLCG tables of a delta model.
-  delta - attach decided at projection time (the composed machine), scored
-          by the stack-size conditioned model, with tables keyed by stack
-          depth as well.
+first use and kept on the model.  The model's type picks the tables:
+  PlcgModel  - attach decided when a completed corner sits on its goal.
+  DeltaModel - attach decided at projection time (the composed machine),
+               scored by the stack-size conditioned model, with tables
+               keyed by stack depth as well; ``variant="base"`` parses
+               its PLCG, ``model.base``, instead.
 
 One beam per word boundary: states that have consumed i words compete,
 attach/project moves are expanded to a fixpoint within the boundary, and
@@ -150,19 +150,18 @@ def _delta_moves(model: DeltaModel, lc: str, gc: str, depth: int) -> list:
 
 
 def _compile_moves(
-    model: PlcgModel | DeltaModel, variant: str, lc: str, gc: str,
+    model: PlcgModel | DeltaModel, lc: str, gc: str,
     depth: Optional[int], tag: Optional[str], below: Optional[tuple],
 ) -> list:
-    """One decision point's table; base reads a delta model's base.  With
+    """One decision point's table, the delta model's or the PLCG's.  With
     the next ``tag``, only the entries that leave on top a found corner or a
     sought category that can shift ``tag``.  A move that pushes nothing pops
     the corner and its goal and leaves ``below`` on top (None for an empty
     stack)."""
-    base = model.base if isinstance(model, DeltaModel) else model
-    if variant == "delta":
-        table = _delta_moves(model, lc, gc, depth)
+    if isinstance(model, DeltaModel):
+        table, base = _delta_moves(model, lc, gc, depth), model.base
     else:
-        table = _lc_moves(base, lc, gc)
+        table, base = _lc_moves(model, lc, gc), model
     if tag is None:
         return table
     shifts = _shift_table(base, tag)
@@ -188,13 +187,13 @@ def _shift_table(model: PlcgModel, tag: str) -> dict:
 
 
 def shift_successor(
-    state: ParserState, tag: str, model: PlcgModel | DeltaModel, stacks: StackTable,
+    state: ParserState, tag: str, shifts: dict, stacks: StackTable,
 ) -> Optional[ParserState]:
-    """The single forced shift when a sought category is exposed; the new
-    stack is interned in ``stacks``, the table holding the state's."""
-    base = model.base if isinstance(model, DeltaModel) else model
+    """The single forced shift of ``tag`` when a sought category is exposed,
+    read from ``tag``'s shift table ``shifts``; the new stack is interned in
+    ``stacks``, the table holding the state's."""
     stack = state.stack
-    entry = _shift_table(base, tag).get(stacks.top[stack])
+    entry = shifts.get(stacks.top[stack])
     if entry is None:
         return None
     move, lp = entry
@@ -204,7 +203,7 @@ def shift_successor(
 
 def successors(
     state: ParserState, model: PlcgModel | DeltaModel, stacks: StackTable,
-    variant: str = "base", tag: Optional[str] = None,
+    tag: Optional[str] = None,
 ) -> list[ParserState]:
     """Attach/project successors of a state whose top is a found corner,
     their stacks interned in ``stacks``, the table holding the state's.
@@ -221,10 +220,10 @@ def successors(
     goal = below[stack]
     beneath = below[goal]
     depth = stacks.depth
-    # The decision point, with the stack depth for delta; with a next tag,
-    # also the entry beneath the goal, which moves that push nothing expose
-    # (None for an empty stack).
-    key = (variant, corner[1], top[goal][1], depth[stack] - 1 if variant == "delta" else None,
+    # The decision point, with the stack depth for a delta model; with a
+    # next tag, also the entry beneath the goal, which moves that push
+    # nothing expose (None for an empty stack).
+    key = (corner[1], top[goal][1], depth[stack] - 1 if isinstance(model, DeltaModel) else None,
            tag, top[beneath] if tag is not None else None)
     table = model.move_tables.get(key)
     if table is None:
@@ -247,7 +246,7 @@ def successors(
 
 
 def _closure(
-    states: list[ParserState], model, stacks: StackTable, variant: str,
+    states: list[ParserState], model, stacks: StackTable,
     tag: Optional[str] = None, keep: Optional[int] = None,
 ) -> list[ParserState]:
     """Expand attach/project moves to a fixpoint within a word boundary, for
@@ -258,7 +257,7 @@ def _closure(
     return every derivation, and raise TooManyDerivationsError past
     ``STATE_LIMIT`` states."""
     if keep is not None:
-        return _recombined_closure(states, model, stacks, variant, tag, keep)
+        return _recombined_closure(states, model, stacks, tag, keep)
     top = stacks.top
     out = list(states)
     frontier = list(states)
@@ -267,7 +266,7 @@ def _closure(
         nxt: list[ParserState] = []
         for st in frontier:
             if st.stack and top[st.stack][0] == FOUND:
-                nxt.extend(successors(st, model, stacks, variant, tag))
+                nxt.extend(successors(st, model, stacks, tag))
         out.extend(nxt)
         if len(out) > STATE_LIMIT:
             raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
@@ -277,7 +276,7 @@ def _closure(
 
 
 def _recombined_closure(
-    states: list[ParserState], model, stacks: StackTable, variant: str,
+    states: list[ParserState], model, stacks: StackTable,
     tag: Optional[str], keep: int,
 ) -> list[ParserState]:
     """The closure holding the ``keep`` best states per stack.  A state
@@ -331,7 +330,7 @@ def _recombined_closure(
             if stack and top[stack][0] == FOUND and (
                     held[stack] is st if keep == 1
                     else any(other is st for other in held[stack])):
-                offered += successors(st, model, stacks, variant, tag)
+                offered += successors(st, model, stacks, tag)
         rounds += 1
     if keep == 1:
         return list(held.values())
@@ -350,7 +349,7 @@ def _rank(state: ParserState) -> float:
 
 
 def _complete_states(
-    tags: Sequence[str], model, variant: str, k: Optional[int] = None, n_best: int = 1,
+    tags: Sequence[str], model, variant: Optional[str], k: Optional[int] = None, n_best: int = 1,
 ) -> list[ParserState]:
     """Complete states over ``tags``, best first.  With ``k``, the closures
     hold the ``n_best`` best states per stack, and only the ``k`` best
@@ -360,17 +359,19 @@ def _complete_states(
     dropped when it returns."""
     if not tags:
         raise ValueError("empty tag sequence")
-    if variant not in VARIANTS:
+    if variant not in (None,) + VARIANTS:
         raise ValueError("unknown variant %r (expected one of %s)" % (variant, ", ".join(VARIANTS)))
     if variant == "delta" and not isinstance(model, DeltaModel):
         raise TypeError("delta variant needs a DeltaModel")
+    if variant == "base" and isinstance(model, DeltaModel):
+        model = model.base
     base = model.base if isinstance(model, DeltaModel) else model
     keep = None if k is None else n_best
     stacks = StackTable()
     top = stacks.top
     beam = [initial_state(model.start, stacks)]
     for tag in tags:
-        pool = _closure(beam, model, stacks, variant, tag, keep)
+        pool = _closure(beam, model, stacks, tag, keep)
         # The closure built only states that can still shift the tag; found
         # corners on top, carried in or built on the way, are dropped here.
         shifts = _shift_table(base, tag)
@@ -378,10 +379,10 @@ def _complete_states(
         if k is not None:
             pool.sort(key=_rank)
             del pool[k:]
-        beam = [shift_successor(st, tag, model, stacks) for st in pool]
+        beam = [shift_successor(st, tag, shifts, stacks) for st in pool]
         if not beam:
             return []
-    final = _closure(beam, model, stacks, variant, keep=keep)
+    final = _closure(beam, model, stacks, keep=keep)
     return sorted((st for st in final if st.complete), key=_rank)
 
 
@@ -390,13 +391,14 @@ def beam_parse(
     model: PlcgModel | DeltaModel,
     k: int,
     n_best: int = 1,
-    variant: str = "base",
+    variant: Optional[str] = None,
 ) -> list[tuple[Tree, float]]:
-    """Up to ``n_best`` complete parses, best first.  At each word boundary
-    the beam keeps the ``k`` best states, at most ``n_best`` per stack, so
-    with ``n_best`` 1 the ``k`` best distinct stacks.  Not guaranteed
-    optimal unless ``k`` exceeds the number of reachable stacks times
-    ``n_best``."""
+    """Up to ``n_best`` complete parses, best first, under the model's own
+    machine, or under a delta model's PLCG with ``variant`` "base".  At each
+    word boundary the beam keeps the ``k`` best states, at most ``n_best``
+    per stack, so with ``n_best`` 1 the ``k`` best distinct stacks.  Not
+    guaranteed optimal unless ``k`` exceeds the number of reachable stacks
+    times ``n_best``."""
     if k < 1 or n_best < 1:
         raise ValueError("k and n_best must be >= 1")
     complete = _complete_states(tags, model, variant, k, n_best)
@@ -418,9 +420,10 @@ def beam_parse(
 def exhaustive_lc_parse(
     tags: Sequence[str],
     model: PlcgModel | DeltaModel,
-    variant: str = "base",
+    variant: Optional[str] = None,
 ) -> list[tuple[Tree, float]]:
-    """Every complete derivation with its probability; oracle for small
+    """Every complete derivation with its probability, under the machine
+    ``beam_parse`` picks for ``model`` and ``variant``; oracle for small
     fixtures.  Each tree of the model appears through exactly one
     derivation (before binarization).  Raises TooManyDerivationsError when a
     closure builds more than ``STATE_LIMIT`` states."""

@@ -11,8 +11,10 @@ Record kinds:
 Counts are stored, probabilities re-derived on load, so normalization stays
 checkable.  Every count is at least 1, an ATT record has
 0 <= attach_count <= total_count with total_count >= 1, and the rule of a
-PROJ or DPROJ record (other than <attach>) starts with its <lc>.  Records are
-emitted sorted: saving is deterministic and round-trips byte-exactly.
+PROJ or DPROJ record (other than <attach>) starts with its <lc>.  The start
+symbol is the <lhs> of some RULE (pcfg) or the <gc> of some SHIFT (plcg,
+delta), since every parse begins there.  Records are emitted sorted: saving
+is deterministic and round-trips byte-exactly.
 """
 
 from __future__ import annotations
@@ -153,6 +155,10 @@ def loads(text: str) -> Model:
                 raise
             raise ModelFormatError("malformed line %d: %r (%s)" % (lineno, line, exc)) from exc
 
+    if kind == "pcfg" and all(rule.lhs != start for rule in rule_counts):
+        raise ModelFormatError("start symbol %r is the lhs of no RULE record" % start)
+    if kind != "pcfg" and start not in shift:
+        raise ModelFormatError("start symbol %r is the goal of no SHIFT record" % start)
     if kind == "pcfg":
         return PcfgModel(rule_counts, start)
     base = PlcgModel(shift, att, proj, start)

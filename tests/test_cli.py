@@ -7,8 +7,9 @@ import pytest
 
 import plcg
 from plcg.cli import main
-from plcg.induction import induce_plcg
+from plcg.induction import induce_delta_model, induce_plcg
 from plcg.lc_parser import beam_parse
+from plcg.transforms import binarize_corpus
 from plcg.treebank import (
     PreprocessOptions,
     leaves,
@@ -92,12 +93,18 @@ class TestInduce:
         code, _, err = run(capsys, ["induce", str(tagged), str(tmp_path / "m")])
         assert code == 2 and "word-level" in err
 
-    def test_delta_requires_binarize(self, workspace, capsys):
-        code, _, err = run(
-            capsys,
-            ["induce", str(workspace / "corpus.txt"), str(workspace / "m"), "--model", "delta"],
-        )
-        assert code == 1 and "--binarize" in err
+    def test_delta_binarizes_without_being_asked(self, workspace, capsys):
+        # The delta model is defined over binarized trees, so --binarize
+        # changes nothing for it.
+        outputs = []
+        for extra in ([], ["--binarize"]):
+            path = workspace / ("m%d.delta" % len(extra))
+            argv = ["induce", str(workspace / "corpus.txt"), str(path), "--model", "delta"]
+            code, out, _ = run(capsys, argv + extra)
+            assert code == 0
+            outputs.append((path.read_bytes(), out))
+        assert outputs[0] == outputs[1]
+        assert b"@" in outputs[0][0]  # binarized symbols
 
     def test_delta_with_binarize(self, workspace, capsys):
         code, _, _ = run(
@@ -143,16 +150,33 @@ class TestParse:
             assert tree_text == write_tree(expect[0][0])
             assert math.isclose(float(lp_text), expect[0][1], abs_tol=5e-7)
 
-    def test_delta_model_runs_base(self, workspace, capsys):
-        # Base reads the delta model's PLCG tables, which are the ones
-        # `induce --model plcg --binarize` estimates.
-        delta = self.induce(workspace, capsys, "delta", ["--binarize"])
-        plcg = self.induce(workspace, capsys, "plcg", ["--binarize"])
-        tags = str(workspace / "tags.txt")
-        code, from_delta, _ = run(capsys, ["parse", str(delta), tags, "--variant", "base"])
-        assert code == 0 and "\t" in from_delta
-        code, from_plcg, _ = run(capsys, ["parse", str(plcg), tags])
-        assert code == 0 and from_delta == from_plcg
+    def test_delta_base_variant_is_the_binarized_plcg(self, workspace):
+        # variant "base" parses a delta model's PLCG, which is the one
+        # `induce --model plcg --binarize` estimates, and caches its tables
+        # on that PLCG only.
+        trees = read_trees((workspace / "corpus.txt").read_text())
+        pre, _ = preprocess_corpus(trees, PreprocessOptions())
+        binarized = binarize_corpus([to_pos_tree(t) for t in pre])
+        delta, plcg = induce_delta_model(binarized), induce_plcg(binarized)
+        parsed = 0
+        for line in (workspace / "tags.txt").read_text().splitlines():
+            tags = line.split()
+            expect = beam_parse(tags, plcg, k=20)
+            assert beam_parse(tags, delta, k=20, variant="base") == expect
+            assert beam_parse(tags, delta.base, k=20) == expect
+            parsed += bool(expect)
+        assert parsed and not delta.move_tables and delta.base.move_tables
+
+    def test_variant_is_not_an_option(self, workspace, capsys):
+        # The model kind picks the machine.
+        for kind in ("plcg", "delta", "pcfg"):
+            model = self.induce(workspace, capsys, kind)
+            argv = ["parse", str(model), str(workspace / "tags.txt"), "--variant", "base"]
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            captured = capsys.readouterr()
+            assert exit_.value.code == 1 and captured.out == ""
+            assert "unrecognized arguments: --variant base" in captured.err
 
     def test_uncovered_tag_gives_noparse(self, workspace, capsys):
         model = self.induce(workspace, capsys)
@@ -198,9 +222,7 @@ class TestParse:
     def test_engine_model_mismatch_is_usage_error(self, workspace, capsys):
         # The model kind picks the engine; flags it does not take are errors.
         models = {kind: self.induce(workspace, capsys, kind) for kind in ("plcg", "pcfg")}
-        for kind, flags in [("plcg", ["--variant", "delta"]),
-                            ("pcfg", ["--variant", "base"]),
-                            ("pcfg", ["--n-best", "2"]),
+        for kind, flags in [("pcfg", ["--n-best", "2"]),
                             ("pcfg", ["--beam", "1"])]:
             argv = ["parse", str(models[kind]), str(workspace / "tags.txt")] + flags
             code, out, err = run(capsys, argv)

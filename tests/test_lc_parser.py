@@ -157,7 +157,8 @@ class TestMoveList:
 
     def test_successors_share_the_parent_derivation(self, nested_model):
         stacks = StackTable()
-        state = shift_successor(initial_state("T", stacks), "c", nested_model, stacks)
+        state = shift_successor(initial_state("T", stacks), "c",
+                                _shift_table(nested_model, "c"), stacks)
         (child,) = successors(state, nested_model, stacks)
         assert child.moves[1] is state.moves
         assert len(move_list(child.moves)) == 2
@@ -172,20 +173,22 @@ class TestSuccessors:
 
     def test_shift_scores_by_goal(self, nested_model):
         stacks = StackTable()
-        state = shift_successor(initial_state("T", stacks), "c", nested_model, stacks)
+        state = shift_successor(initial_state("T", stacks), "c",
+                                _shift_table(nested_model, "c"), stacks)
         assert state is not None
         assert state.log_prob == pytest.approx(0.0)  # P_shift(c | T) = 1
-        assert shift_successor(initial_state("T", stacks), "b", nested_model, stacks) is None
+        assert shift_successor(initial_state("T", stacks), "b",
+                               _shift_table(nested_model, "b"), stacks) is None
 
     def test_successor_probabilities_sum_to_one(self, nested_model):
         # At the (S, S) decision point, attach (3/4) and the S -> S b
         # projection (1/4) must exhaust the mass.
         stacks = StackTable()
         state = initial_state("T", stacks)
-        state = shift_successor(state, "c", nested_model, stacks)
+        state = shift_successor(state, "c", _shift_table(nested_model, "c"), stacks)
         for st in successors(state, nested_model, stacks):  # project T -> c S
             state = st
-        state = shift_successor(state, "a", nested_model, stacks)
+        state = shift_successor(state, "a", _shift_table(nested_model, "a"), stacks)
         (state,) = successors(state, nested_model, stacks)  # project S -> a
         branches = list(successors(state, nested_model, stacks))
         total = sum(math.exp(st.log_prob - state.log_prob) for st in branches)
@@ -206,7 +209,7 @@ class TestSuccessors:
         assert {variant for variant, _, _ in points} == {"base", "delta"}
         stacks = StackTable()
         for variant, model, stack in points:
-            branches = successors(state_of(stacks, stack), model, stacks, variant)
+            branches = successors(state_of(stacks, stack), model, stacks)
             total = math.fsum(math.exp(st.log_prob) for st in branches)
             assert total == pytest.approx(1.0), (variant, stack)
 
@@ -322,7 +325,7 @@ class TestLookahead:
             beam = [initial_state(model.start, stacks)]
             for tag in tags:
                 shifts = _shift_table(base, tag)
-                pool = _closure(beam, model, stacks, variant, tag)
+                pool = _closure(beam, model, stacks, tag)
                 # Only the carried-in states, with the last tag found on top,
                 # may fail to shift; every state built can still shift tag.
                 for st in pool[len(beam):]:
@@ -330,7 +333,7 @@ class TestLookahead:
                     assert stack and (stack[-1][0] == FOUND or stack[-1] in shifts)
                 # The closure without lookahead builds dead states, and the
                 # same shiftable states in the same order.
-                full = _closure(beam, model, stacks, variant)
+                full = _closure(beam, model, stacks)
                 dead += sum(bool(stack) and stack[-1][0] == SOUGHT and stack[-1] not in shifts
                             for stack in (stack_of(stacks, st) for st in full))
                 live = [st for st in pool if can_shift(stacks, st, shifts)]
@@ -338,7 +341,7 @@ class TestLookahead:
                     (stack_of(stacks, st), st.log_prob) for st in full
                     if can_shift(stacks, st, shifts)]
                 live.sort(key=lambda st: -st.log_prob)
-                beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
+                beam = [shift_successor(st, tag, shifts, stacks) for st in live[:20]]
             assert beam
         assert dead > 0
 
@@ -365,7 +368,7 @@ class TestBounds:
             monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
             stacks = StackTable()
             found_np = state_of(stacks, ((SOUGHT, "S"), (FOUND, "NP")))
-            pool = _closure([found_np], model, stacks, "base", "VB")
+            pool = _closure([found_np], model, stacks, "VB")
             # Each round adds one move; the NP -> NP chain alone never ends.
             assert max(len(move_list(st.moves)) for st in pool) == rounds
 
@@ -375,7 +378,7 @@ class TestBounds:
         built = count_built_states(monkeypatch)
         stacks = StackTable()
         found_np = state_of(stacks, ((SOUGHT, "S"), (FOUND, "NP")))
-        pool = _closure([found_np], np_loop_model, stacks, "base", "VB", keep=1)
+        pool = _closure([found_np], np_loop_model, stacks, "VB", keep=1)
         assert max(len(move_list(st.moves)) for st in pool) == 1
         assert 0 < sum(built) < 5 < lc_parser.MAX_NONSHIFT
 
@@ -423,7 +426,7 @@ class TestStackTable:
             stacks = StackTable()
             beam = [initial_state(model.start, stacks)]
             for tag in tags:
-                full = _closure(beam, model, stacks, variant, tag)
+                full = _closure(beam, model, stacks, tag)
                 ids: dict = {}
                 for st in full:
                     ids.setdefault(stack_of(stacks, st), set()).add(st.stack)
@@ -433,7 +436,7 @@ class TestStackTable:
                 shifts = _shift_table(base, tag)
                 live = sorted((st for st in full if can_shift(stacks, st, shifts)),
                               key=lambda st: -st.log_prob)
-                beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
+                beam = [shift_successor(st, tag, shifts, stacks) for st in live[:20]]
             assert beam
         # Some of those stacks were reached by more than one derivation.
         assert shared > 0
@@ -449,14 +452,14 @@ class TestStackTable:
             stacks = StackTable()
             beam = [initial_state(model.start, stacks)]
             for tag in tags:
-                pool = _closure(beam, model, stacks, variant, tag)
+                pool = _closure(beam, model, stacks, tag)
                 for st in pool:
                     stack = stack_of(stacks, st)
-                    children = successors(st, model, stacks, variant, tag)
+                    children = successors(st, model, stacks, tag)
                     if not stack or stack[-1][0] == SOUGHT:
                         assert children == []
                         continue
-                    key = (variant, stack[-1][1], stack[-2][1],
+                    key = (stack[-1][1], stack[-2][1],
                            len(stack) - 1 if variant == "delta" else None, tag,
                            stack[-3] if len(stack) > 2 else None)
                     rows = model.move_tables[key]
@@ -465,7 +468,7 @@ class TestStackTable:
                     checked += len(children)
                 shifts = _shift_table(base, tag)
                 live = [st for st in pool if can_shift(stacks, st, shifts)]
-                beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
+                beam = [shift_successor(st, tag, shifts, stacks) for st in live[:20]]
                 assert [stack_of(stacks, st) for st in beam] == [
                     stack_of(stacks, st) + ((FOUND, tag),) for st in live[:20]]
             assert beam
@@ -487,9 +490,13 @@ class TestStackTable:
                 fresh = loads(text)
                 again = beam_parse(second, used, k=10, n_best=n_best, variant=variant)
                 assert again == beam_parse(second, fresh, k=10, n_best=n_best, variant=variant)
-                # The move tables hold entries, never a parse's stack ids.
-                for key, table in fresh.move_tables.items():
-                    assert used.move_tables[key] == table
+                # The move tables hold entries, never a parse's stack ids;
+                # a delta model's shift tables live on its base.
+                pairs = [(fresh, used)] + ([(fresh.base, used.base)] if variant == "delta" else [])
+                for new, old in pairs:
+                    assert new.move_tables
+                    for key, table in new.move_tables.items():
+                        assert old.move_tables[key] == table
 
 
 class TestRecombination:
@@ -499,7 +506,7 @@ class TestRecombination:
         stacks = StackTable()
         states = [state_of(stacks, ((SOUGHT, "T"),), i, lp) for i, lp in enumerate(lps)]
         for keep, marks in ((1, [3]), (2, [3, 5]), (3, [3, 5, 1]), (5, [3, 5, 1, 4, 0])):
-            held = _closure(states, nested_model, stacks, "base", keep=keep)
+            held = _closure(states, nested_model, stacks, keep=keep)
             assert sorted(st.moves for st in held) == sorted(marks)
 
     def test_ties_across_stacks_go_to_the_earlier_built_state(self, nested_model):
@@ -510,7 +517,7 @@ class TestRecombination:
         states = [state_of(stacks, a, 0, -2.0), state_of(stacks, b, 1, -1.0),
                   state_of(stacks, a, 2, -1.0)]
         for keep, marks in ((1, [1, 2]), (3, [1, 2, 0])):
-            held = _closure(states, nested_model, stacks, "base", keep=keep)
+            held = _closure(states, nested_model, stacks, keep=keep)
             assert [st.moves for st in sorted(held, key=lc_parser._rank)] == marks
 
     @pytest.mark.parametrize("variant", ["base", "delta"])
@@ -529,7 +536,7 @@ class TestRecombination:
                 stacks = StackTable()
                 beam = [initial_state(model.start, stacks)]
                 for tag in tags:
-                    full = _closure(beam, model, stacks, variant, tag)
+                    full = _closure(beam, model, stacks, tag)
                     scores: dict = {}
                     for st in full:
                         scores.setdefault(stack_of(stacks, st), []).append(st.log_prob)
@@ -537,7 +544,7 @@ class TestRecombination:
                     # keep=1 is the 1-best beam's; keep=3 an n-best one's.
                     for keep in (1, 3):
                         held: dict = {}
-                        for st in _closure(beam, model, stacks, variant, tag, keep=keep):
+                        for st in _closure(beam, model, stacks, tag, keep=keep):
                             held.setdefault(stack_of(stacks, st), []).append(st.log_prob)
                         assert held.keys() == scores.keys()
                         for stack, lps in scores.items():
@@ -546,7 +553,7 @@ class TestRecombination:
                     shifts = _shift_table(base, tag)
                     live = sorted((st for st in full if can_shift(stacks, st, shifts)),
                                   key=lambda st: -st.log_prob)
-                    beam = [shift_successor(st, tag, model, stacks) for st in live[:20]]
+                    beam = [shift_successor(st, tag, shifts, stacks) for st in live[:20]]
                 assert beam
         assert shared > 0
 

@@ -15,6 +15,11 @@ from plcg.model_io import (
 from plcg.transforms import binarize_corpus
 
 
+# Every parse begins with a shift under the start symbol, so a plcg or delta
+# model must hold one.
+START_SHIFT = "SHIFT\tS\tA\t1\n"
+
+
 def corpus():
     return [
         t("(S (NP PRP) (VP VB (NP DT NN)))"),
@@ -120,7 +125,7 @@ class TestFormatErrors:
     ], ids=["RULE", "SHIFT", "PROJ", "DELTA", "DPROJ"])
     def test_count_below_one(self, kind, record):
         head = "PLCG-MODEL\t1\t%s\tS\n" % kind
-        assert loads(head + record % "2" + "\n")
+        assert loads(head + record % "2" + "\n" + (START_SHIFT if kind != "pcfg" else ""))
         for count in ("0", "-5"):
             with pytest.raises(ModelFormatError, match="below 1"):
                 loads(head + record % count + "\n")
@@ -128,7 +133,7 @@ class TestFormatErrors:
     def test_impossible_attach_counts(self):
         head = "PLCG-MODEL\t1\tplcg\tS\n"
         for att, total in ((0, 1), (1, 1), (3, 30)):
-            model = loads(head + "ATT\tS\tS\t%d\t%d\n" % (att, total))
+            model = loads(head + "ATT\tS\tS\t%d\t%d\n" % (att, total) + START_SHIFT)
             assert model.att_counts == {("S", "S"): (att, total)}
         for att, total in ((35, 30), (-1, 30), (0, 0), (1, 0), (-2, -1)):
             with pytest.raises(ModelFormatError, match="attach count"):
@@ -162,11 +167,38 @@ class TestFormatErrors:
             assert main(["parse", str(model), str(tags)]) == 2
             assert "does not start with left corner DT" in capsys.readouterr().err
         head = "PLCG-MODEL\t1\tdelta\tS\n"
-        assert loads(head + "DPROJ\t1\t-2\tA\tS\t<attach>\t1\n")
+        assert loads(head + "DPROJ\t1\t-2\tA\tS\t<attach>\t1\n" + START_SHIFT)
         for record in ("PROJ\tS\tA\tS\tB\tA\t1", "PROJ\tS\tA\tS\t1",
                        "DPROJ\t1\t-2\tA\tS\tS\tB\t1", "DPROJ\t1\t-2\tA\tS\tS\t1"):
             with pytest.raises(ModelFormatError, match="malformed line 2"):
                 loads(head + record + "\n")
+
+    def test_start_symbol_must_begin_a_record(self, tmp_path, capsys):
+        # No parse can begin from such a start symbol, so the model would
+        # print -NOPARSE- for every sentence and exit 0.
+        tags = tmp_path / "tags.txt"
+        tags.write_text("PRP VB\n")
+        models = {"pcfg": induce_pcfg(corpus()), "plcg": induce_plcg(corpus()),
+                  "delta": induce_delta_model(binarize_corpus(corpus()))}
+        for kind, model in models.items():
+            text = dumps(model)
+            head, rest = text.split("\n", 1)
+            assert head.endswith("\tS")
+            record = "lhs of no RULE" if kind == "pcfg" else "goal of no SHIFT"
+            for start in ("PRP", "XX", ""):
+                bad = head[:-1] + start + "\n" + rest
+                with pytest.raises(ModelFormatError, match="start symbol %r is the %s record"
+                                   % (start, record)):
+                    loads(bad)
+                path = tmp_path / ("model." + kind)
+                path.write_text(bad)
+                assert main(["parse", str(path), str(tags)]) == 2
+                assert "start symbol" in capsys.readouterr().err
+                # A broken record is still reported by its line.
+                with pytest.raises(ModelFormatError, match="malformed line 2"):
+                    loads(bad.replace("\n", "\nSHIFT\n", 1))
+            # Another symbol that begins a record loads.
+            assert loads(head[:-1] + "NP\n" + rest).start == "NP"
 
 
 def test_model_kind():
