@@ -1,12 +1,14 @@
 """Command-line surface: induce, parse, eval, stats, gen-corpus.
 
 Diagnostics go to stderr and data to stdout so subcommands compose in
-pipelines.  Exit codes: 0 success, 1 usage error, 2 data error.
+pipelines.  Exit codes: 0 success, 1 usage error, 2 data error.  A reader
+that closes stdout early (``| head``) ends the command with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -14,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from .chart import viterbi_parse
-from .derivation import derivation_events, stack_delta
+from .derivation import PROJECT, derivation_events, stack_delta
 from .evalb import YieldMismatchError, score_corpus
 from .grammar_types import DeltaModel, Model, PcfgModel, PlcgModel
 from .induction import induce_delta_model, induce_pcfg, induce_plcg
@@ -223,12 +225,13 @@ def cmd_stats(args) -> int:
     table: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
     for t in trees:
         for ev in derivation_events(t, compose=True):
-            if ev.move.kind != "project":
+            kind, _, _, depth, _, _, _ = ev
+            if kind != PROJECT:
                 continue
-            delta = stack_delta(ev.move)
+            delta = stack_delta(ev)
             if delta == -2:
                 continue
-            table[ev.depth][delta] += 1
+            table[depth][delta] += 1
 
     print("%-6s %8s %8s %8s %8s" % ("size", "total", "-1", "0", "+1"))
     for size in sorted(table):
@@ -317,7 +320,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, not at interpreter exit, so a closed pipe is caught.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout stopped early (``plcg eval ... | head``): not
+        # a data error.  Point stdout at devnull, so the flush at exit does
+        # not raise again on what is still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return 1

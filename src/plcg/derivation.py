@@ -8,9 +8,23 @@ left- or right-branching input.
 
 :func:`derivation_events` is the one walk from a tree to its gold moves: a
 loop over an explicit machine stack, so tree depth is not bounded by Python
-recursion, that yields each move with its (left corner, goal, depth)
-context.  :func:`replay` is its inverse: it runs a move sequence on the same
-machine and rebuilds the tree.
+recursion.  It yields one :class:`Event` per move, a flat tuple
+``(kind, lc, gc, depth, label, rhs, compose)``:
+
+- ``kind`` is :data:`SHIFT`, :data:`PROJECT` or :data:`ATTACH`;
+- ``lc``, ``gc`` and ``depth`` are the move's context: the left corner
+  (None for shifts), the goal, and the stack entries beneath the corner
+  (for shifts, the full stack size);
+- ``label`` is the shifted symbol or the projected node's label, and
+  ``rhs`` the projected node's tuple of child labels (both None for an
+  attach, ``rhs`` None for a shift);
+- ``compose`` is true for a projection that fills its goal at once.
+
+Events hold raw labels, so a walk builds no :class:`LcMove` or
+:class:`~plcg.grammar_types.Rule`: induction counts on ``(label, rhs)``
+keys, and :func:`lc_derivation` turns events into moves when moves are
+wanted.  :func:`replay` is the inverse of :func:`lc_derivation`: it runs a
+move sequence on the same machine and rebuilds the tree.
 """
 
 from __future__ import annotations
@@ -20,6 +34,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .grammar_types import Rule
 from .treebank import Tree
+
+# Event kinds, the same strings as LcMove.kind.
+SHIFT, PROJECT, ATTACH = "shift", "project", "attach"
 
 
 @dataclass(frozen=True)
@@ -36,15 +53,15 @@ class LcMove:
 
     @staticmethod
     def shift(symbol: str) -> "LcMove":
-        return LcMove("shift", symbol=symbol)
+        return LcMove(SHIFT, symbol=symbol)
 
     @staticmethod
     def project(rule: Rule, compose: bool = False) -> "LcMove":
-        return LcMove("project", rule=rule, compose=compose)
+        return LcMove(PROJECT, rule=rule, compose=compose)
 
     @staticmethod
     def attach() -> "LcMove":
-        return LcMove("attach")
+        return LcMove(ATTACH)
 
 
 class ReplayError(ValueError):
@@ -56,7 +73,15 @@ class ReplayError(ValueError):
 def lc_derivation(t: Tree, compose: bool = False) -> list[LcMove]:
     """The unique left-corner move sequence reconstructing ``t`` from the
     goal ``t.label``."""
-    return [ev.move for ev in derivation_events(t, compose=compose)]
+    moves = []
+    for kind, _, _, _, label, rhs, composed in derivation_events(t, compose=compose):
+        if kind == SHIFT:
+            moves.append(LcMove.shift(label))
+        elif kind == ATTACH:
+            moves.append(LcMove.attach())
+        else:
+            moves.append(LcMove.project(Rule(label, rhs), composed))
+    return moves
 
 
 class _Node:
@@ -130,65 +155,68 @@ def replay(moves: Sequence[LcMove], start: str) -> Tree:
 
 
 class Event(NamedTuple):
-    """A move together with its conditioning context.
+    """A move with its conditioning context.  :func:`derivation_events`
+    yields plain tuples in this field order; the class names the fields."""
 
-    ``lc`` is None for shifts.  ``depth`` is the number of stack entries
-    beneath the exposed left corner (for shifts, the full stack size)."""
-
-    move: LcMove
+    kind: str
     lc: Optional[str]
     gc: str
     depth: int
+    label: Optional[str]
+    rhs: Optional[tuple[str, ...]]
+    compose: bool
 
 
-def derivation_events(t: Tree, compose: bool = False) -> Iterator[Event]:
+def derivation_events(t: Tree, compose: bool = False) -> Iterator[tuple]:
     """Walk the gold derivation of ``t`` on the stack machine, yielding each
-    move with the (left corner, goal, stack depth) context it is taken in."""
+    move as an :class:`Event` tuple, with the (left corner, goal, stack
+    depth) context it is taken in."""
     # The machine stack.  A sought entry is the subtree still to derive; a
     # found entry (spine, i) is the corner spine[i] on the left spine of its
     # goal spine[0], which is the sought entry beneath it.
     stack: list = [t]
     while stack:
         top = stack[-1]
-        if isinstance(top, Tree):
+        if top.__class__ is not tuple:
             spine = [top]
             while spine[-1].children:
                 spine.append(spine[-1].children[0])
-            yield Event(LcMove.shift(spine[-1].label), None, top.label, len(stack))
+            yield (SHIFT, None, top.label, len(stack), spine[-1].label, None, False)
             stack.append((spine, len(spine) - 1))
             continue
         spine, i = stack.pop()
         goal = spine[0].label
         if i == 0:
-            yield Event(LcMove.attach(), goal, goal, len(stack))
+            yield (ATTACH, goal, goal, len(stack), None, None, False)
             stack.pop()
             continue
         node = spine[i - 1]
+        kids = node.children
         composed = compose and i == 1
-        rule = Rule(node.label, tuple(c.label for c in node.children))
-        yield Event(LcMove.project(rule, composed), spine[i].label, goal, len(stack))
+        yield (PROJECT, spine[i].label, goal, len(stack), node.label,
+               tuple([c.label for c in kids]), composed)
         if composed:
             stack.pop()
         else:
             stack.append((spine, i - 1))
-        stack.extend(reversed(node.children[1:]))
+        stack.extend(reversed(kids[1:]))
 
 
-def stack_delta(move: LcMove) -> int:
-    """Net stack-size change of a composed-machine operation (binary rules:
-    between -2 and +1)."""
-    if move.kind == "shift":
+def stack_delta(ev: tuple) -> int:
+    """Net stack-size change of an event's move on the machine it was
+    walked on (binary rules, composed machine: between -2 and +1)."""
+    kind, _, _, _, _, rhs, composed = ev
+    if kind == SHIFT:
         return 1
-    if move.kind == "attach":
+    if kind == ATTACH:
         return -2
-    arity = len(move.rule.rhs)
-    return (arity - 1) - (2 if move.compose else 0)
+    return len(rhs) - (3 if composed else 1)
 
 
 def max_stack_depth(t: Tree, compose: bool = False) -> int:
     """Peak stack size over the gold derivation of ``t``."""
     depth = peak = 1
     for ev in derivation_events(t, compose=compose):
-        depth += stack_delta(ev.move)
+        depth += stack_delta(ev)
         peak = max(peak, depth)
     return peak

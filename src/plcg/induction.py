@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import derivation_events, stack_delta
+from .derivation import ATTACH, PROJECT, SHIFT, derivation_events, stack_delta
 from .grammar_types import (
     ATTACH_RULE,
     NEG_INF,
@@ -26,65 +26,88 @@ def _common_start(trees: Sequence[Tree]) -> str:
     return roots.pop()
 
 
+def _rule_table(counts: dict) -> dict[Rule, int]:
+    """A count table keyed by (lhs, rhs) label pairs, keyed by Rule: one
+    Rule per distinct rule, in first-seen order."""
+    return {Rule(lhs, rhs): c for (lhs, rhs), c in counts.items()}
+
+
 def induce_pcfg(trees: Sequence[Tree]) -> PcfgModel:
     """Count local trees and normalize per mother category; no smoothing."""
     check_sequence(trees)
-    counts: dict[Rule, int] = defaultdict(int)
+    counts: Counter = Counter()
     for t in trees:
-        for lhs, rhs in iter_local_trees(t):
-            counts[Rule(lhs, rhs)] += 1
-    return PcfgModel(dict(counts), _common_start(trees))
+        counts.update(iter_local_trees(t))
+    return PcfgModel(_rule_table(counts), _common_start(trees))
+
+
+# The (lhs, rhs) key of a bare terminal attach in the delta rule tables.
+_ATTACH_KEY = (ATTACH_RULE.lhs, ATTACH_RULE.rhs)
+
+
+def _count_derivations(trees: Sequence[Tree], compose: bool):
+    """Count the gold derivations of ``trees``, one walk per tree.
+
+    Returns the PLCG and, for the composed walk, the delta model's count
+    tables (deltas, rules).  The two machines
+    differ only in a composed projection at (lc, gc), which the base
+    machine takes as the same projection followed by an attach at
+    (gc, gc), so the composed walk counts both models."""
+    shift = defaultdict(lambda: defaultdict(int))
+    att = defaultdict(lambda: [0, 0])
+    proj = defaultdict(lambda: defaultdict(int))
+    deltas = defaultdict(lambda: defaultdict(int))
+    rules = defaultdict(lambda: defaultdict(int))
+    for t in trees:
+        for ev in derivation_events(t, compose=compose):
+            kind, lc, gc, depth, label, rhs, composed = ev
+            if kind == SHIFT:
+                shift[gc][label] += 1
+                continue
+            pair = att[(lc, gc)]
+            pair[1] += 1
+            if kind == ATTACH:
+                pair[0] += 1
+                key = _ATTACH_KEY
+            else:
+                key = (label, rhs)
+                proj[(lc, gc)][key] += 1
+                if composed:
+                    pair = att[(gc, gc)]
+                    pair[0] += 1
+                    pair[1] += 1
+                if compose and len(rhs) > 2:
+                    raise ValueError("delta model needs binary rules; saw %s -> %s"
+                                     % (label, " ".join(rhs)))
+            if compose:
+                delta = stack_delta(ev)
+                deltas[(depth, lc, gc)][delta] += 1
+                rules[(lc, gc, depth, delta)][key] += 1
+    base = PlcgModel(
+        shift_counts={gc: dict(d) for gc, d in shift.items()},
+        att_counts={k: (a, n) for k, (a, n) in att.items()},
+        proj_counts={k: _rule_table(d) for k, d in proj.items()},
+        start=_common_start(trees),
+    )
+    return base, deltas, rules
 
 
 def induce_plcg(trees: Sequence[Tree]) -> PlcgModel:
     """Count shift/attach/project decisions over the gold LC derivations."""
     check_sequence(trees)
-    shift: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    att: dict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0])
-    proj: dict[tuple[str, str], dict[Rule, int]] = defaultdict(lambda: defaultdict(int))
-    for t in trees:
-        for ev in derivation_events(t):
-            mv = ev.move
-            if mv.kind == "shift":
-                shift[ev.gc][mv.symbol] += 1
-            elif mv.kind == "attach":
-                pair = att[(ev.lc, ev.gc)]
-                pair[0] += 1
-                pair[1] += 1
-            else:
-                att[(ev.lc, ev.gc)][1] += 1
-                proj[(ev.lc, ev.gc)][mv.rule] += 1
-    return PlcgModel(
-        shift_counts={gc: dict(d) for gc, d in shift.items()},
-        att_counts={k: (a, n) for k, (a, n) in att.items()},
-        proj_counts={k: dict(d) for k, d in proj.items()},
-        start=_common_start(trees),
-    )
+    return _count_derivations(trees, compose=False)[0]
 
 
 def induce_delta_model(trees: Sequence[Tree]) -> DeltaModel:
-    """Stack-size conditioned model from composed-machine derivations.
+    """Stack-size conditioned model from composed-machine derivations, with
+    its base PLCG counted from the same walk.
 
     Expects binarized trees; the observable deltas are then -2..+1."""
     check_sequence(trees)
-    deltas: dict[tuple[int, str, str], dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    rules: dict[tuple[str, str, int, int], dict[Rule, int]] = defaultdict(lambda: defaultdict(int))
-    for t in trees:
-        for lhs, rhs in iter_local_trees(t):
-            if len(rhs) > 2:
-                raise ValueError("delta model needs binary rules; saw %s -> %s" % (lhs, " ".join(rhs)))
-        for ev in derivation_events(t, compose=True):
-            mv = ev.move
-            if mv.kind == "shift":
-                continue
-            delta = stack_delta(mv)
-            rule = mv.rule if mv.kind == "project" else ATTACH_RULE
-            deltas[(ev.depth, ev.lc, ev.gc)][delta] += 1
-            rules[(ev.lc, ev.gc, ev.depth, delta)][rule] += 1
-    base = induce_plcg(trees)
+    base, deltas, rules = _count_derivations(trees, compose=True)
     return DeltaModel(
         delta_counts={k: dict(d) for k, d in deltas.items()},
-        rule_counts={k: dict(d) for k, d in rules.items()},
+        rule_counts={k: _rule_table(d) for k, d in rules.items()},
         base=base,
     )
 
@@ -112,14 +135,13 @@ def plcg_tree_log_prob(t: Tree, model: PlcgModel) -> float:
     The attach complement is folded into projection scores: a projection at
     (lc, gc) costs (1 - P_att(lc, gc)) * P_lc(rule | lc, gc)."""
     lp = 0.0
-    for ev in derivation_events(t):
-        mv = ev.move
-        if mv.kind == "shift":
-            p = model.p_shift(mv.symbol, ev.gc)
-        elif mv.kind == "attach":
-            p = model.p_att(ev.lc, ev.gc)
+    for kind, lc, gc, _, label, rhs, _ in derivation_events(t):
+        if kind == SHIFT:
+            p = model.p_shift(label, gc)
+        elif kind == ATTACH:
+            p = model.p_att(lc, gc)
         else:
-            p = (1.0 - model.p_att(ev.lc, ev.gc)) * model.p_lc(mv.rule, ev.lc, ev.gc)
+            p = (1.0 - model.p_att(lc, gc)) * model.p_lc(Rule(label, rhs), lc, gc)
         if p == 0.0:
             return NEG_INF
         lp += math.log(p)
@@ -131,14 +153,14 @@ def delta_tree_log_prob(t: Tree, model: DeltaModel) -> float:
     machine, binary rules)."""
     lp = 0.0
     for ev in derivation_events(t, compose=True):
-        mv = ev.move
-        if mv.kind == "shift":
-            p = model.base.p_shift(mv.symbol, ev.gc)
+        kind, lc, gc, depth, label, rhs, _ = ev
+        if kind == SHIFT:
+            p = model.base.p_shift(label, gc)
         else:
-            delta = stack_delta(mv)
-            rule = mv.rule if mv.kind == "project" else ATTACH_RULE
-            p = model.p_delta(delta, ev.depth, ev.lc, ev.gc) * model.rule_dist(
-                ev.lc, ev.gc, ev.depth, delta
+            delta = stack_delta(ev)
+            rule = Rule(label, rhs) if kind == PROJECT else ATTACH_RULE
+            p = model.p_delta(delta, depth, lc, gc) * model.rule_dist(
+                lc, gc, depth, delta
             ).get(rule, 0.0)
         if p == 0.0:
             return NEG_INF

@@ -26,15 +26,24 @@ class VacuousTreeError(ValueError):
     """Raised when preprocessing leaves a tree with an empty yield."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Tree:
     """Labelled ordered tree.  A node with no children is a terminal leaf;
     a node whose single child is a leaf is a preterminal.  Equality and
     hashing walk the tree from an explicit stack, so depth is not bounded
     by the recursion limit."""
 
+    __slots__ = ("label", "children")
     label: str
-    children: tuple["Tree", ...] = ()
+    children: tuple["Tree", ...]
+
+    def __init__(self, label: str, children: tuple["Tree", ...] = ()):
+        # Every layer builds trees node by node.  Setting the slots through
+        # their descriptors skips the frozen dataclass's generic
+        # object.__setattr__, and slots hold no instance dict; assignment
+        # still raises FrozenInstanceError.
+        _set_label(self, label)
+        _set_children(self, children)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -69,6 +78,10 @@ class Tree:
 
     def __str__(self) -> str:
         return write_tree(self)
+
+
+_set_label = Tree.label.__set__
+_set_children = Tree.children.__set__
 
 
 class UnaryMode(str, Enum):

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -328,6 +329,24 @@ def test_every_module_is_imported_by_the_cli():
                          check=True, timeout=60).stdout.split()
     assert "plcg.cli" in out
     assert expected - set(out) == set()
+
+
+@pytest.mark.parametrize("command", ["eval", "gen-corpus", "induce"])
+def test_closed_stdout_pipe_exits_zero(workspace, command):
+    # The reader closes the pipe before the command writes, so every write
+    # to stdout fails: eval writes its report at the final flush, gen-corpus
+    # writes 300 KB while it runs, and induce prints its report as well.
+    argv = {"eval": ["eval", "gold.txt", "gold.txt"],
+            "gen-corpus": ["gen-corpus", "-", "--size", "5000"],
+            "induce": ["induce", "corpus.txt", "model.plcg"]}[command]
+    src = str(Path(plcg.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "plcg", *argv], cwd=workspace,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0, err
+    assert "error" not in err and "Traceback" not in err and "Exception" not in err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,10 +1,14 @@
 import random
+from typing import NamedTuple, Optional
 
 import pytest
 
 from conftest import chain, t
 from plcg.corpus import random_tree
 from plcg.derivation import (
+    ATTACH,
+    PROJECT,
+    SHIFT,
     Event,
     LcMove,
     ReplayError,
@@ -18,10 +22,21 @@ from plcg.grammar_types import Rule
 from plcg.transforms import binarize_tree
 
 
-def reference_events(t, compose=False):
+class MoveEvent(NamedTuple):
+    """A move with its context, in the event shape derivation_events had
+    before events held raw labels."""
+
+    move: LcMove
+    lc: Optional[str]
+    gc: str
+    depth: int
+
+
+def reference_move_events(t, compose=False):
     """Oracle for derivation_events, walked in two passes: list the moves by
     recursion over the tree, then run a symbolic stack over them to recover
-    each move's (left corner, goal, depth) context."""
+    each move's (left corner, goal, depth) context.  Yields a MoveEvent, with
+    a new LcMove and Rule, per move."""
     moves = []
 
     def derive(node):
@@ -46,12 +61,12 @@ def reference_events(t, compose=False):
     for mv in moves:
         if mv.kind == "shift":
             gc = stack[-1][1]
-            yield Event(mv, None, gc, len(stack))
+            yield MoveEvent(mv, None, gc, len(stack))
             stack.append(("f", mv.symbol))
         elif mv.kind == "project":
             lc = stack[-1][1]
             gc = stack[-2][1]
-            yield Event(mv, lc, gc, len(stack) - 1)
+            yield MoveEvent(mv, lc, gc, len(stack) - 1)
             stack.pop()
             if mv.compose:
                 stack.pop()
@@ -62,9 +77,25 @@ def reference_events(t, compose=False):
         else:  # attach
             lc = stack[-1][1]
             gc = stack[-2][1]
-            yield Event(mv, lc, gc, len(stack) - 1)
+            yield MoveEvent(mv, lc, gc, len(stack) - 1)
             stack.pop()
             stack.pop()
+
+
+def reference_events(t, compose=False):
+    """The oracle's events in derivation_events' flat shape."""
+    for mv, lc, gc, depth in reference_move_events(t, compose):
+        if mv.kind == "shift":
+            yield (SHIFT, None, gc, depth, mv.symbol, None, False)
+        elif mv.kind == "project":
+            yield (PROJECT, lc, gc, depth, mv.rule.lhs, mv.rule.rhs, mv.compose)
+        else:
+            yield (ATTACH, lc, gc, depth, None, None, False)
+
+
+def events(t, compose=False):
+    """derivation_events with named fields."""
+    return [Event(*ev) for ev in derivation_events(t, compose=compose)]
 
 
 class TestDerivation:
@@ -145,13 +176,13 @@ class TestReplay:
 class TestEvents:
     def test_goal_conditioning_of_shifts(self):
         tree = t("(S (NP a) (VP b))")
-        shifts = [ev for ev in derivation_events(tree) if ev.move.kind == "shift"]
-        assert [(ev.move.symbol, ev.gc) for ev in shifts] == [("a", "S"), ("b", "VP")]
+        shifts = [ev for ev in events(tree) if ev.kind == "shift"]
+        assert [(ev.label, ev.gc) for ev in shifts] == [("a", "S"), ("b", "VP")]
 
     def test_projection_context(self):
         tree = t("(S (NP a) (VP b))")
-        projs = [ev for ev in derivation_events(tree) if ev.move.kind == "project"]
-        assert [(ev.lc, ev.gc, ev.move.rule.lhs) for ev in projs] == [
+        projs = [ev for ev in events(tree) if ev.kind == "project"]
+        assert [(ev.lc, ev.gc, ev.label) for ev in projs] == [
             ("a", "S", "NP"),
             ("NP", "S", "S"),
             ("b", "VP", "VP"),
@@ -159,8 +190,8 @@ class TestEvents:
 
     def test_attach_context_matches_goal(self):
         tree = t("(S (NP a) (VP b))")
-        for ev in derivation_events(tree):
-            if ev.move.kind == "attach":
+        for ev in events(tree):
+            if ev.kind == "attach":
                 assert ev.lc == ev.gc
 
     def test_events_equal_reference_walk(self, rng):
@@ -177,11 +208,10 @@ class TestEvents:
         for right, composed_attaches in ((True, 0), (False, 3000)):
             tree = chain(3000, right)
             for compose, attaches in ((False, 3001), (True, composed_attaches)):
-                moves = [ev.move for ev in derivation_events(tree, compose=compose)]
-                kinds = [mv.kind for mv in moves]
+                kinds = [ev.kind for ev in events(tree, compose=compose)]
                 counts = (kinds.count("shift"), kinds.count("project"), kinds.count("attach"))
                 assert counts == (3001, 3001, attaches)
-                assert replay(moves, tree.label) == tree
+                assert replay(lc_derivation(tree, compose=compose), tree.label) == tree
             assert max_stack_depth(tree, compose=True) <= 4
 
     def test_depth_tracks_stack(self, rng):
@@ -189,23 +219,26 @@ class TestEvents:
         for _ in range(50):
             tree = binarize_tree(random_tree(rng, max_depth=5))
             depth = 1
-            for ev in derivation_events(tree, compose=True):
-                if ev.move.kind == "shift":
+            for ev in events(tree, compose=True):
+                if ev.kind == "shift":
                     assert ev.depth == depth
                 else:
                     assert ev.depth == depth - 1
-                depth += stack_delta(ev.move)
+                depth += stack_delta(ev)
             assert depth == 0
 
 
 class TestStackDelta:
     def test_elementary_deltas(self):
-        assert stack_delta(LcMove.shift("a")) == 1
-        assert stack_delta(LcMove.attach()) == -2
-        assert stack_delta(LcMove.project(Rule("A", ("a",)))) == 0
-        assert stack_delta(LcMove.project(Rule("A", ("a", "B")))) == 1
-        assert stack_delta(LcMove.project(Rule("A", ("a",)), compose=True)) == -2
-        assert stack_delta(LcMove.project(Rule("A", ("a", "B")), compose=True)) == -1
+        def project(rhs, compose=False):
+            return Event(PROJECT, rhs[0], "S", 1, "A", rhs, compose)
+
+        assert stack_delta(Event(SHIFT, None, "S", 1, "a", None, False)) == 1
+        assert stack_delta(Event(ATTACH, "a", "a", 1, None, None, False)) == -2
+        assert stack_delta(project(("a",))) == 0
+        assert stack_delta(project(("a", "B"))) == 1
+        assert stack_delta(project(("a",), compose=True)) == -2
+        assert stack_delta(project(("a", "B"), compose=True)) == -1
 
     def test_compose_bounds_stack_on_right_branching(self):
         text = "(S a)"

@@ -1,10 +1,14 @@
+import itertools
 import math
+import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from conftest import assert_model_normalized, t
-from plcg.grammar_types import Rule
+from conftest import assert_model_normalized, chain, t
+from plcg.corpus import generate_corpus, random_tree
+from plcg.grammar_types import ATTACH_RULE, DeltaModel, PcfgModel, PlcgModel, Rule
 from plcg.induction import (
     corpus_log_likelihood,
     delta_tree_log_prob,
@@ -16,6 +20,120 @@ from plcg.induction import (
     plcg_tree_log_prob,
 )
 from plcg.transforms import binarize_corpus
+from plcg.treebank import (
+    PreprocessOptions,
+    Tree,
+    UnaryMode,
+    iter_local_trees,
+    preprocess_corpus,
+    to_pos_tree,
+)
+from test_derivation import reference_move_events
+
+
+# Counting oracle: relative-frequency induction as it was before events held
+# raw labels.  It builds a MoveEvent, LcMove and Rule per move from the
+# two-pass reference walk, and walks every tree twice for a delta model.
+
+def reference_pcfg(trees):
+    counts = defaultdict(int)
+    for tree in trees:
+        for lhs, rhs in iter_local_trees(tree):
+            counts[Rule(lhs, rhs)] += 1
+    return PcfgModel(dict(counts), trees[0].label)
+
+
+def reference_plcg(trees):
+    shift = defaultdict(lambda: defaultdict(int))
+    att = defaultdict(lambda: [0, 0])
+    proj = defaultdict(lambda: defaultdict(int))
+    for tree in trees:
+        for ev in reference_move_events(tree):
+            mv = ev.move
+            if mv.kind == "shift":
+                shift[ev.gc][mv.symbol] += 1
+            elif mv.kind == "attach":
+                pair = att[(ev.lc, ev.gc)]
+                pair[0] += 1
+                pair[1] += 1
+            else:
+                att[(ev.lc, ev.gc)][1] += 1
+                proj[(ev.lc, ev.gc)][mv.rule] += 1
+    return PlcgModel(
+        shift_counts={gc: dict(d) for gc, d in shift.items()},
+        att_counts={k: (a, n) for k, (a, n) in att.items()},
+        proj_counts={k: dict(d) for k, d in proj.items()},
+        start=trees[0].label,
+    )
+
+
+def reference_delta(trees):
+    deltas = defaultdict(lambda: defaultdict(int))
+    rules = defaultdict(lambda: defaultdict(int))
+    for tree in trees:
+        for ev in reference_move_events(tree, compose=True):
+            mv = ev.move
+            if mv.kind == "shift":
+                continue
+            if mv.kind == "attach":
+                delta, rule = -2, ATTACH_RULE
+            else:
+                delta, rule = len(mv.rule.rhs) - 1 - (2 if mv.compose else 0), mv.rule
+            deltas[(ev.depth, ev.lc, ev.gc)][delta] += 1
+            rules[(ev.lc, ev.gc, ev.depth, delta)][rule] += 1
+    return DeltaModel(
+        delta_counts={k: dict(d) for k, d in deltas.items()},
+        rule_counts={k: dict(d) for k, d in rules.items()},
+        base=reference_plcg(trees),
+    )
+
+
+def assert_same_models(trees):
+    """Every model induced from ``trees`` equals the oracle's, and the delta
+    model (from the binarized trees) carries the PLCG of those trees."""
+    binarized = binarize_corpus(trees)
+    assert induce_pcfg(trees) == reference_pcfg(trees)
+    for form in (trees, binarized):
+        assert induce_plcg(form) == reference_plcg(form)
+    delta = induce_delta_model(binarized)
+    assert delta == reference_delta(binarized)
+    assert delta.base == induce_plcg(binarized)
+
+
+class TestCountingOracle:
+    @pytest.mark.parametrize("add_root,strip_empties,strip_function_tags,unary_mode",
+                             list(itertools.product((True, False), (True, False),
+                                                    (True, False), list(UnaryMode))))
+    def test_generated_corpora(self, add_root, strip_empties, strip_function_tags,
+                               unary_mode):
+        opts = PreprocessOptions(add_root, strip_empties, strip_function_tags, unary_mode)
+        trees, _ = preprocess_corpus(generate_corpus(200, seed=11, raw=True), opts)
+        # Without a ROOT wrapper, folding can leave trees rooted in other
+        # categories, and a model takes one root; count those rooted in S.
+        trees = [to_pos_tree(tree) for tree in trees if tree.label in ("ROOT", "S")]
+        assert len(trees) > 150
+        assert_same_models(trees)
+
+    def test_random_trees_with_unary_chains(self):
+        rng = random.Random(12345)
+        trees = [Tree("ROOT", (random_tree(rng, max_depth=5),)) for _ in range(200)]
+        trees += [Tree("ROOT", (chain(n, right),)) for n in (0, 1, 5) for right in (True, False)]
+        trees.append(t("(ROOT (S (S (S (NP (NP a))) b)))"))
+        assert any(len(n.children) == 1 and n.children[0].children
+                   for tree in trees for n in _nodes(tree))
+        assert_same_models(trees)
+
+    def test_single_node_tree(self):
+        assert_same_models([Tree("a")])
+        assert induce_plcg([Tree("a")]).att_counts == {("a", "a"): (1, 1)}
+
+
+def _nodes(tree):
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += node.children
 
 
 class TestPcfgInduction:

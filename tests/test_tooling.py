@@ -102,6 +102,8 @@ def test_traced_induce_and_eval_count_trees_and_brackets(tmp_path):
     )
     traced = json.loads(out)
     assert traced["counts"]["treebank.trees"] > 0
+    # Induction walks each tree through the module-level derivation_events.
+    assert traced["counts"]["derivation.events"] > 0
     assert traced["counts"]["evalb.brackets"] > 0
     assert {"treebank.read_trees", "treebank.preprocess_corpus",
             "evalb.score_corpus"} <= set(traced["spans"])

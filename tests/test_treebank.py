@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import pytest
@@ -424,6 +425,27 @@ def test_tree_is_hashable_and_frozen():
     assert a == b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.label = "C"
+
+
+def test_tree_construction_keeps_fields_frozen_eq_and_hash():
+    leaf = Tree("x")
+    a = Tree("A", (leaf, Tree("y")))
+    assert (leaf.label, leaf.children) == ("x", ())
+    assert Tree(label="A", children=(leaf, Tree("y"))) == a
+    assert dataclasses.replace(a, label="B") == Tree("B", a.children)
+    assert repr(leaf) == "Tree(label='x', children=())"
+    for field in ("label", "children", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, "C")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, field)
+    assert (a.label, a.children) == ("A", (leaf, Tree("y")))
+    # Equality is structural, and hashing reads the pre-order (label, arity)
+    # sequence.
+    assert a != Tree("A", (leaf,)) and a != Tree("A", (leaf, Tree("z")))
+    assert a != ("A", (leaf, Tree("y"))) and a.__eq__("A") is NotImplemented
+    assert hash(a) == hash((("A", 2), ("x", 0), ("y", 0)))
+    assert len({a, Tree("A", (Tree("x"), Tree("y"))), leaf}) == 2
 
 
 @pytest.mark.parametrize("right", [True, False])
