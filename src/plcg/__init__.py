@@ -14,10 +14,8 @@ from .chart import (
 )
 from .derivation import (
     Event,
-    LcMove,
     ReplayError,
     derivation_events,
-    lc_derivation,
     max_stack_depth,
     replay,
     stack_delta,

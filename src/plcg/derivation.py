@@ -6,9 +6,7 @@ With the compose flag, the attach decision is taken at projection time and
 the matching goal is popped immediately, which bounds the stack on purely
 left- or right-branching input.
 
-:func:`derivation_events` is the one walk from a tree to its gold moves: a
-loop over an explicit machine stack, so tree depth is not bounded by Python
-recursion.  It yields one :class:`Event` per move, a flat tuple
+A move is one flat tuple, an :class:`Event`
 ``(kind, lc, gc, depth, label, rhs, compose)``:
 
 - ``kind`` is :data:`SHIFT`, :data:`PROJECT` or :data:`ATTACH`;
@@ -20,68 +18,28 @@ recursion.  It yields one :class:`Event` per move, a flat tuple
   attach, ``rhs`` None for a shift);
 - ``compose`` is true for a projection that fills its goal at once.
 
-Events hold raw labels, so a walk builds no :class:`LcMove` or
+:func:`derivation_events` is the one walk from a tree to its gold moves: a
+loop over an explicit machine stack, so tree depth is not bounded by Python
+recursion.  Events hold raw labels, so a walk builds no
 :class:`~plcg.grammar_types.Rule`: induction counts on ``(label, rhs)``
-keys, and :func:`lc_derivation` turns events into moves when moves are
-wanted.  :func:`replay` is the inverse of :func:`lc_derivation`: it runs a
-move sequence on the same machine and rebuilds the tree.
+keys.  :func:`replay` is its inverse: it runs a move sequence on the same
+machine and rebuilds the tree.  The parser's moves are the same tuples,
+with ``depth`` None.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .grammar_types import Rule
 from .treebank import Tree
 
-# Event kinds, the same strings as LcMove.kind.
 SHIFT, PROJECT, ATTACH = "shift", "project", "attach"
-
-
-@dataclass(frozen=True)
-class LcMove:
-    """One elementary operation: shift(symbol), project(rule), or attach.
-
-    ``compose`` marks a projection whose attach decision was taken
-    immediately (stack-composition variant)."""
-
-    kind: str  # "shift" | "project" | "attach"
-    symbol: Optional[str] = None
-    rule: Optional[Rule] = None
-    compose: bool = False
-
-    @staticmethod
-    def shift(symbol: str) -> "LcMove":
-        return LcMove(SHIFT, symbol=symbol)
-
-    @staticmethod
-    def project(rule: Rule, compose: bool = False) -> "LcMove":
-        return LcMove(PROJECT, rule=rule, compose=compose)
-
-    @staticmethod
-    def attach() -> "LcMove":
-        return LcMove(ATTACH)
 
 
 class ReplayError(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__("move %d: %s" % (index, message))
         self.index = index
-
-
-def lc_derivation(t: Tree, compose: bool = False) -> list[LcMove]:
-    """The unique left-corner move sequence reconstructing ``t`` from the
-    goal ``t.label``."""
-    moves = []
-    for kind, _, _, _, label, rhs, composed in derivation_events(t, compose=compose):
-        if kind == SHIFT:
-            moves.append(LcMove.shift(label))
-        elif kind == ATTACH:
-            moves.append(LcMove.attach())
-        else:
-            moves.append(LcMove.project(Rule(label, rhs), composed))
-    return moves
 
 
 class _Node:
@@ -102,42 +60,41 @@ class _Node:
         return self.tree
 
 
-def replay(moves: Sequence[LcMove], start: str) -> Tree:
-    """Run a complete derivation on the stack machine and rebuild the tree.
-
-    Inverse of :func:`lc_derivation` for both the base and compose variants.
-    """
+def replay(moves: Iterable[tuple], start: str) -> Tree:
+    """Run a complete derivation, a sequence of :class:`Event` tuples, on the
+    stack machine and rebuild the tree.  Only each move's kind, label, rhs
+    and compose flag are read, so
+    ``replay(derivation_events(t, compose), t.label) == t``."""
     holder = _Node("")
     # Entries: ("s", category, parent node) or ("f", node).
     stack: list[tuple] = [("s", start, holder)]
-    for i, mv in enumerate(moves):
-        if mv.kind == "shift":
+    i = -1
+    for i, (kind, _, _, _, label, rhs, compose) in enumerate(moves):
+        if kind == SHIFT:
             if not stack or stack[-1][0] != "s":
                 raise ReplayError(i, "shift without a sought category on top")
-            stack.append(("f", _Node(mv.symbol)))
-        elif mv.kind == "project":
-            rule = mv.rule
+            stack.append(("f", _Node(label)))
+        elif kind == PROJECT:
             if not stack or stack[-1][0] != "f":
                 raise ReplayError(i, "projection without a left corner")
             corner = stack.pop()[1]
-            if corner.label != rule.rhs[0]:
-                raise ReplayError(
-                    i, "left corner %s does not start %s" % (corner.label, rule)
-                )
-            node = _Node(rule.lhs)
+            if corner.label != rhs[0]:
+                raise ReplayError(i, "left corner %s does not start %s -> %s"
+                                  % (corner.label, label, " ".join(rhs)))
+            node = _Node(label)
             node.children.append(corner)
-            if mv.compose:
+            if compose:
                 if not stack or stack[-1][0] != "s":
                     raise ReplayError(i, "composed projection without a goal")
                 _, cat, parent = stack.pop()
-                if cat != rule.lhs:
-                    raise ReplayError(i, "%s does not fill goal %s" % (rule.lhs, cat))
+                if cat != label:
+                    raise ReplayError(i, "%s does not fill goal %s" % (label, cat))
                 parent.children.append(node)
             else:
                 stack.append(("f", node))
-            for sym in reversed(rule.rhs[1:]):
+            for sym in reversed(rhs[1:]):
                 stack.append(("s", sym, node))
-        elif mv.kind == "attach":
+        elif kind == ATTACH:
             if len(stack) < 2 or stack[-1][0] != "f" or stack[-2][0] != "s":
                 raise ReplayError(i, "attach needs a found item over a goal")
             found = stack.pop()[1]
@@ -146,22 +103,22 @@ def replay(moves: Sequence[LcMove], start: str) -> Tree:
                 raise ReplayError(i, "%s does not fill goal %s" % (found.label, cat))
             parent.children.append(found)
         else:
-            raise ReplayError(i, "unknown move kind %r" % mv.kind)
+            raise ReplayError(i, "unknown move kind %r" % kind)
     if stack:
-        raise ReplayError(len(moves), "incomplete derivation: %d entries left" % len(stack))
+        raise ReplayError(i + 1, "incomplete derivation: %d entries left" % len(stack))
     if len(holder.children) != 1:
-        raise ReplayError(len(moves), "derivation did not build exactly one tree")
+        raise ReplayError(i + 1, "derivation did not build exactly one tree")
     return holder.children[0].freeze()
 
 
 class Event(NamedTuple):
-    """A move with its conditioning context.  :func:`derivation_events`
-    yields plain tuples in this field order; the class names the fields."""
+    """A move with its conditioning context.  Moves are plain tuples in this
+    field order; the class names the fields."""
 
     kind: str
     lc: Optional[str]
     gc: str
-    depth: int
+    depth: Optional[int]  # None in the parser's moves
     label: Optional[str]
     rhs: Optional[tuple[str, ...]]
     compose: bool

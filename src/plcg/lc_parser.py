@@ -3,16 +3,19 @@
 One stack machine serves both models.  At each decision point (a found
 corner on top, its goal beneath) it reads the model's move table: one
 (move, entries popped, entries pushed, log-prob) per successor, built on
-first use and kept on the model.  The model's type picks the tables:
+first use and kept on the model.  A move is the tuple
+:func:`~plcg.derivation.derivation_events` yields for the gold derivation,
+with ``depth`` None, since tables are shared across depths; ``replay``
+rebuilds a tree from either.  The model's type picks the tables:
   PlcgModel  - attach decided when a completed corner sits on its goal.
   DeltaModel - attach decided at projection time (the composed machine),
                scored by the stack-size conditioned model, with tables
-               keyed by stack depth as well; ``variant="base"`` parses
-               its PLCG, ``model.base``, instead.
+               keyed by stack depth as well.
 
 One beam per word boundary: states that have consumed i words compete,
 attach/project moves are expanded to a fixpoint within the boundary, and
-the k best states that can shift the next tag shift it.  Every move is
+the k best states that can shift the next tag shift it.  The exhaustive
+parse runs the same closure with no cap per stack and no k.  Every move is
 conditioned on the stack alone, so states with equal stacks have equal
 futures: the beam recombines them, holding and expanding only the best
 ``n_best`` derivations per stack (Huang & Chiang 2005), so the k states
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .derivation import LcMove, replay
+from .derivation import ATTACH, PROJECT, SHIFT, replay
 from .grammar_types import ATTACH_RULE, DeltaModel, PlcgModel
 from .transforms import debinarize_tree, is_binarized_symbol
 from .treebank import Tree, write_tree
@@ -45,7 +48,7 @@ STATE_LIMIT = 200000
 VARIANTS = ("base", "delta")
 
 
-def move_list(moves: Optional[tuple]) -> list[LcMove]:
+def move_list(moves: Optional[tuple]) -> list[tuple]:
     """The moves of a shared-tail derivation, first to last."""
     out = []
     while moves is not None:
@@ -105,16 +108,14 @@ def initial_state(start: str, stacks: StackTable) -> ParserState:
     return ParserState(stacks.push(0, (SOUGHT, start)), None, 0.0)
 
 
-_ATTACH = LcMove.attach()
-
-
-def _project(rule, compose: bool, lp: float) -> tuple:
-    """Table entry projecting ``rule`` from the corner on top: onto the goal
-    beneath when composing, else as a found corner."""
+def _project(lc: str, gc: str, rule, compose: bool, lp: float) -> tuple:
+    """Table entry projecting ``rule`` from the corner ``lc`` on top: onto
+    the goal ``gc`` beneath when composing, else as a found corner."""
+    move = (PROJECT, lc, gc, None, rule.lhs, rule.rhs, compose)
     soughts = tuple((SOUGHT, sym) for sym in reversed(rule.rhs[1:]))
     if compose:
-        return (LcMove.project(rule, compose=True), 2, soughts, lp)
-    return (LcMove.project(rule), 1, ((FOUND, rule.lhs),) + soughts, lp)
+        return (move, 2, soughts, lp)
+    return (move, 1, ((FOUND, rule.lhs),) + soughts, lp)
 
 
 def _lc_moves(model: PlcgModel, lc: str, gc: str) -> list:
@@ -123,11 +124,11 @@ def _lc_moves(model: PlcgModel, lc: str, gc: str) -> list:
     out = []
     p_att = model.p_att(lc, gc)
     if p_att > 0.0:
-        out.append((_ATTACH, 2, (), math.log(p_att)))
+        out.append(((ATTACH, lc, gc, None, None, None, False), 2, (), math.log(p_att)))
     for rule, p_rule in model.projections(lc, gc).items():
         p = (1.0 - p_att) * p_rule
         if p != 0.0:
-            out.append(_project(rule, False, math.log(p)))
+            out.append(_project(lc, gc, rule, False, math.log(p)))
     return out
 
 
@@ -143,9 +144,9 @@ def _delta_moves(model: DeltaModel, lc: str, gc: str, depth: int) -> list:
                 continue
             composed = delta in (-2, -1)
             if rule == ATTACH_RULE:
-                out.append((_ATTACH, 2, (), math.log(p)))
+                out.append(((ATTACH, lc, gc, None, None, None, False), 2, (), math.log(p)))
             elif not composed or rule.lhs == gc:
-                out.append(_project(rule, composed, math.log(p)))
+                out.append(_project(lc, gc, rule, composed, math.log(p)))
     return out
 
 
@@ -182,7 +183,7 @@ def _shift_table(model: PlcgModel, tag: str) -> dict:
         for gc in model.shift_counts:
             p = model.p_shift(tag, gc)
             if p:
-                table[(SOUGHT, gc)] = (LcMove.shift(tag), math.log(p))
+                table[(SOUGHT, gc)] = ((SHIFT, None, gc, None, tag, None, False), math.log(p))
     return table
 
 
@@ -250,44 +251,20 @@ def _closure(
     tag: Optional[str] = None, keep: Optional[int] = None,
 ) -> list[ParserState]:
     """Expand attach/project moves to a fixpoint within a word boundary, for
-    at most ``MAX_NONSHIFT`` rounds, and return the states in build order.
-    Stacks live in ``stacks``.  With the next ``tag``, build only the states
-    that can still shift it.  With ``keep``, hold only the ``keep`` best
-    states per stack, the earlier one on a tie, and return those; without,
-    return every derivation, and raise TooManyDerivationsError past
-    ``STATE_LIMIT`` states."""
-    if keep is not None:
-        return _recombined_closure(states, model, stacks, tag, keep)
-    top = stacks.top
-    out = list(states)
-    frontier = list(states)
-    rounds = 0
-    while frontier and rounds < MAX_NONSHIFT:
-        nxt: list[ParserState] = []
-        for st in frontier:
-            if st.stack and top[st.stack][0] == FOUND:
-                nxt.extend(successors(st, model, stacks, tag))
-        out.extend(nxt)
-        if len(out) > STATE_LIMIT:
-            raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
-        frontier = nxt
-        rounds += 1
-    return out
+    at most ``MAX_NONSHIFT`` rounds.  Stacks live in ``stacks``.  With the
+    next ``tag``, build only the states that can still shift it.
 
-
-def _recombined_closure(
-    states: list[ParserState], model, stacks: StackTable,
-    tag: Optional[str], keep: int,
-) -> list[ParserState]:
-    """The closure holding the ``keep`` best states per stack.  A state
-    enters only if it beats the worst one held for its stack, and a state
-    pushed out before its turn is not expanded.  Probabilities are at most
-    one, so a unary cycle cannot beat the state it started from.  With
-    ``keep`` above 1, every complete state is held: those are never
-    expanded, and an n-best list needs them all, because a tree can have
-    more than one derivation (binarized nodes, or delta's composed
-    projection against a projection and an attach).  Held states are
-    returned in the order they entered, which is the order they were built."""
+    With ``keep``, hold only the ``keep`` best states per stack, the earlier
+    one on a tie: a state enters only if it beats the worst one held for its
+    stack, and a state pushed out before its turn is not expanded.
+    Probabilities are at most one, so a unary cycle cannot beat the state it
+    started from.  With ``keep`` above 1, every complete state is held: an
+    n-best list needs them all, because a tree can have more than one
+    derivation (binarized nodes, or delta's composed projection against a
+    projection and an attach).  Without ``keep`` (the exhaustive parse),
+    hold every state, and raise TooManyDerivationsError past
+    ``STATE_LIMIT`` of them.  Held states are returned in the order they
+    were built, complete ones last unless ``keep`` is 1."""
     top = stacks.top
     held: dict = {}  # stack id -> held state, or list of them best first
     entered: list[ParserState] = []
@@ -310,17 +287,20 @@ def _recombined_closure(
                 if not st.stack:
                     complete.append(st)
                     continue
-                group = held.setdefault(st.stack, [])
-                if len(group) == keep:
-                    if st.log_prob <= group[-1].log_prob:
-                        continue
-                    group.pop()
-                i = len(group)
-                while i and group[i - 1].log_prob < st.log_prob:
-                    i -= 1
-                group.insert(i, st)
+                if keep is not None:
+                    group = held.setdefault(st.stack, [])
+                    if len(group) == keep:
+                        if st.log_prob <= group[-1].log_prob:
+                            continue
+                        group.pop()
+                    i = len(group)
+                    while i and group[i - 1].log_prob < st.log_prob:
+                        i -= 1
+                    group.insert(i, st)
                 frontier.append(st)
             entered += frontier
+            if keep is None and len(entered) + len(complete) > STATE_LIMIT:
+                raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
         if not frontier or rounds == MAX_NONSHIFT:
             break
         offered = []
@@ -329,11 +309,13 @@ def _recombined_closure(
             # By identity: equal states would compare whole derivations.
             if stack and top[stack][0] == FOUND and (
                     held[stack] is st if keep == 1
-                    else any(other is st for other in held[stack])):
+                    else keep is None or any(other is st for other in held[stack])):
                 offered += successors(st, model, stacks, tag)
         rounds += 1
     if keep == 1:
         return list(held.values())
+    if keep is None:
+        return entered + complete
     kept = {id(st) for group in held.values() for st in group}
     return [st for st in entered if id(st) in kept] + complete
 
@@ -359,13 +341,11 @@ def _complete_states(
     dropped when it returns."""
     if not tags:
         raise ValueError("empty tag sequence")
+    base = model.base if isinstance(model, DeltaModel) else model
     if variant not in (None,) + VARIANTS:
         raise ValueError("unknown variant %r (expected one of %s)" % (variant, ", ".join(VARIANTS)))
-    if variant == "delta" and not isinstance(model, DeltaModel):
-        raise TypeError("delta variant needs a DeltaModel")
-    if variant == "base" and isinstance(model, DeltaModel):
-        model = model.base
-    base = model.base if isinstance(model, DeltaModel) else model
+    if variant not in (None, "base" if base is model else "delta"):
+        raise TypeError("variant %r does not match a %s" % (variant, type(model).__name__))
     keep = None if k is None else n_best
     stacks = StackTable()
     top = stacks.top
@@ -394,11 +374,11 @@ def beam_parse(
     variant: Optional[str] = None,
 ) -> list[tuple[Tree, float]]:
     """Up to ``n_best`` complete parses, best first, under the model's own
-    machine, or under a delta model's PLCG with ``variant`` "base".  At each
-    word boundary the beam keeps the ``k`` best states, at most ``n_best``
-    per stack, so with ``n_best`` 1 the ``k`` best distinct stacks.  Not
-    guaranteed optimal unless ``k`` exceeds the number of reachable stacks
-    times ``n_best``."""
+    machine, which ``variant`` must name if given.  At each word boundary
+    the beam keeps the ``k`` best states, at most ``n_best`` per stack, so
+    with ``n_best`` 1 the ``k`` best distinct stacks.  Not guaranteed
+    optimal unless ``k`` exceeds the number of reachable stacks times
+    ``n_best``."""
     if k < 1 or n_best < 1:
         raise ValueError("k and n_best must be >= 1")
     complete = _complete_states(tags, model, variant, k, n_best)
@@ -422,11 +402,11 @@ def exhaustive_lc_parse(
     model: PlcgModel | DeltaModel,
     variant: Optional[str] = None,
 ) -> list[tuple[Tree, float]]:
-    """Every complete derivation with its probability, under the machine
-    ``beam_parse`` picks for ``model`` and ``variant``; oracle for small
-    fixtures.  Each tree of the model appears through exactly one
-    derivation (before binarization).  Raises TooManyDerivationsError when a
-    closure builds more than ``STATE_LIMIT`` states."""
+    """Every complete derivation with its probability, under the model's own
+    machine; oracle for small fixtures.  Each tree of the model appears
+    through exactly one derivation (before binarization).  Raises
+    TooManyDerivationsError when a closure holds more than ``STATE_LIMIT``
+    states."""
     complete = _complete_states(tags, model, variant)
     return [(recover_tree(st.moves, model.start), st.log_prob) for st in complete]
 
@@ -436,7 +416,7 @@ def recover_tree(moves: Optional[tuple], start: str) -> Tree:
     moves mention introduced symbols."""
     moves = move_list(moves)
     tree = replay(moves, start)
-    if any(mv.rule is not None and is_binarized_symbol(mv.rule.lhs) for mv in moves):
+    if any(mv[0] == PROJECT and is_binarized_symbol(mv[4]) for mv in moves):
         tree = debinarize_tree(tree)
     return tree
 

@@ -10,8 +10,12 @@ Record kinds:
 
 Counts are stored, probabilities re-derived on load, so normalization stays
 checkable.  Every count is at least 1, an ATT record has
-0 <= attach_count <= total_count with total_count >= 1, and the rule of a
-PROJ or DPROJ record (other than <attach>) starts with its <lc>.  The start
+0 <= attach_count <= total_count with total_count >= 1 (and attach_count 0
+unless lc = gc), and the rule of a PROJ or DPROJ record (other than
+<attach>) starts with its <lc>.  A DPROJ record is a move of the composed
+machine: its delta is the move's stack change (-2 for <attach>, whose lc is
+its gc; len(rhs) - 1 for a projection, len(rhs) - 3 for a composed one,
+whose lhs is its gc), and its rule has at most two symbols.  The start
 symbol is the <lhs> of some RULE (pcfg) or the <gc> of some SHIFT (plcg,
 delta), since every parse begins there.  Records are emitted sorted: saving
 is deterministic and round-trips byte-exactly.
@@ -133,8 +137,9 @@ def loads(text: str) -> Model:
                 shift.setdefault(gc, {})[lc] = c
             elif tag == "ATT":
                 attach, total = int(fields[3]), int(fields[4])
-                if not 0 <= attach <= total or total < 1:
-                    raise ValueError("attach count %d of %d" % (attach, total))
+                if not 0 <= attach <= total or total < 1 or attach and fields[1] != fields[2]:
+                    raise ValueError("attach count %d of %d at %s under goal %s"
+                                     % (attach, total, fields[1], fields[2]))
                 att[(fields[1], fields[2])] = (attach, total)
             elif tag == "PROJ":
                 gc, lc = fields[1], fields[2]
@@ -146,7 +151,13 @@ def loads(text: str) -> Model:
             elif tag == "DPROJ":
                 depth, delta, lc, gc = int(fields[1]), int(fields[2]), fields[3], fields[4]
                 body = fields[5:-1]
-                rule = ATTACH_RULE if body == [ATTACH_RULE.lhs] else _projection(lc, body[0], body[1:])
+                if body == [ATTACH_RULE.lhs]:
+                    rule, ok = ATTACH_RULE, delta == -2 and lc == gc
+                else:
+                    rule, n = _projection(lc, body[0], body[1:]), len(body) - 1
+                    ok = n <= 2 and (delta == n - 1 or delta == n - 3 and body[0] == gc)
+                if not ok:
+                    raise ValueError("%s under goal %s is no move with delta %d" % (rule, gc, delta))
                 drules.setdefault((lc, gc, depth, delta), {})[rule] = _count(fields[-1])
             else:
                 raise ModelFormatError("unknown record kind %r" % tag)

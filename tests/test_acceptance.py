@@ -11,7 +11,7 @@ from conftest import assert_model_normalized, t
 from plcg.chart import enumerate_parses, sentence_probability, viterbi_parse
 from plcg.cli import main
 from plcg.corpus import generate_corpus, random_tree, random_tree_over_yield
-from plcg.derivation import lc_derivation, max_stack_depth, replay
+from plcg.derivation import derivation_events, max_stack_depth, replay
 from plcg.evalb import score, score_corpus
 from plcg.induction import (
     corpus_log_likelihood,
@@ -80,7 +80,7 @@ def test_criterion_2_derivation_round_trip():
     for i in range(1000):
         tree = random_tree(rng, max_depth=8, max_branch=4)
         compose = i % 2 == 1
-        assert replay(lc_derivation(tree, compose=compose), tree.label) == tree
+        assert replay(derivation_events(tree, compose=compose), tree.label) == tree
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print("\n[PASS] criterion 2: 1000 random trees replayed exactly in %.2fs" % elapsed)

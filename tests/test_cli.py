@@ -152,9 +152,9 @@ class TestParse:
             assert math.isclose(float(lp_text), expect[0][1], abs_tol=5e-7)
 
     def test_delta_base_variant_is_the_binarized_plcg(self, workspace):
-        # variant "base" parses a delta model's PLCG, which is the one
-        # `induce --model plcg --binarize` estimates, and caches its tables
-        # on that PLCG only.
+        # A delta model's PLCG, `model.base`, is the one `induce --model
+        # plcg --binarize` estimates; parsing it caches tables on that PLCG
+        # only.
         trees = read_trees((workspace / "corpus.txt").read_text())
         pre, _ = preprocess_corpus(trees, PreprocessOptions())
         binarized = binarize_corpus([to_pos_tree(t) for t in pre])
@@ -163,7 +163,7 @@ class TestParse:
         for line in (workspace / "tags.txt").read_text().splitlines():
             tags = line.split()
             expect = beam_parse(tags, plcg, k=20)
-            assert beam_parse(tags, delta, k=20, variant="base") == expect
+            assert beam_parse(tags, delta.base, k=20, variant="base") == expect
             assert beam_parse(tags, delta.base, k=20) == expect
             parsed += bool(expect)
         assert parsed and not delta.move_tables and delta.base.move_tables

@@ -10,10 +10,8 @@ from plcg.derivation import (
     PROJECT,
     SHIFT,
     Event,
-    LcMove,
     ReplayError,
     derivation_events,
-    lc_derivation,
     max_stack_depth,
     replay,
     stack_delta,
@@ -22,11 +20,20 @@ from plcg.grammar_types import Rule
 from plcg.transforms import binarize_tree
 
 
+class Move(NamedTuple):
+    """The oracle's own move record: shift(symbol), project(rule), attach."""
+
+    kind: str
+    symbol: Optional[str] = None
+    rule: Optional[Rule] = None
+    compose: bool = False
+
+
 class MoveEvent(NamedTuple):
     """A move with its context, in the event shape derivation_events had
     before events held raw labels."""
 
-    move: LcMove
+    move: Move
     lc: Optional[str]
     gc: str
     depth: int
@@ -36,25 +43,25 @@ def reference_move_events(t, compose=False):
     """Oracle for derivation_events, walked in two passes: list the moves by
     recursion over the tree, then run a symbolic stack over them to recover
     each move's (left corner, goal, depth) context.  Yields a MoveEvent, with
-    a new LcMove and Rule, per move."""
+    a new Move and Rule, per move."""
     moves = []
 
     def derive(node):
         if node.is_leaf:
-            moves.append(LcMove.shift(node.label))
-            moves.append(LcMove.attach())
+            moves.append(Move("shift", symbol=node.label))
+            moves.append(Move("attach"))
             return
         spine = [node]
         while not spine[-1].children[0].is_leaf:
             spine.append(spine[-1].children[0])
-        moves.append(LcMove.shift(spine[-1].children[0].label))
+        moves.append(Move("shift", symbol=spine[-1].children[0].label))
         for nd in reversed(spine):
             rule = Rule(nd.label, tuple(c.label for c in nd.children))
-            moves.append(LcMove.project(rule, compose=compose and nd is node))
+            moves.append(Move("project", rule=rule, compose=compose and nd is node))
             for sibling in nd.children[1:]:
                 derive(sibling)
         if not compose:
-            moves.append(LcMove.attach())
+            moves.append(Move("attach"))
 
     derive(t)
     stack = [("s", t.label)]
@@ -100,77 +107,83 @@ def events(t, compose=False):
 
 class TestDerivation:
     def test_single_preterminal(self):
-        moves = lc_derivation(t("(NN dog)"))
-        assert moves == [
-            LcMove.shift("dog"),
-            LcMove.project(Rule("NN", ("dog",))),
-            LcMove.attach(),
+        assert list(derivation_events(t("(NN dog)"))) == [
+            (SHIFT, None, "NN", 1, "dog", None, False),
+            (PROJECT, "dog", "NN", 1, "NN", ("dog",), False),
+            (ATTACH, "NN", "NN", 1, None, None, False),
         ]
 
     def test_binary_tree_move_order(self):
-        moves = lc_derivation(t("(S (NP a) (VP b))"))
-        kinds = [(m.kind, m.symbol or (m.rule and str(m.rule))) for m in moves]
+        moves = events(t("(S (NP a) (VP b))"))
+        kinds = [(m.kind, m.label, m.rhs) for m in moves]
         assert kinds == [
-            ("shift", "a"),
-            ("project", "NP -> a"),
-            ("project", "S -> NP VP"),
-            ("shift", "b"),
-            ("project", "VP -> b"),
-            ("attach", None),
-            ("attach", None),
+            ("shift", "a", None),
+            ("project", "NP", ("a",)),
+            ("project", "S", ("NP", "VP")),
+            ("shift", "b", None),
+            ("project", "VP", ("b",)),
+            ("attach", None, None),
+            ("attach", None, None),
         ]
 
     def test_bare_leaf_goal_is_shift_attach(self):
-        moves = lc_derivation(t("(S a b)"))
-        assert moves == [
-            LcMove.shift("a"),
-            LcMove.project(Rule("S", ("a", "b"))),
-            LcMove.shift("b"),
-            LcMove.attach(),
-            LcMove.attach(),
+        assert list(derivation_events(t("(S a b)"))) == [
+            (SHIFT, None, "S", 1, "a", None, False),
+            (PROJECT, "a", "S", 1, "S", ("a", "b"), False),
+            (SHIFT, None, "b", 3, "b", None, False),
+            (ATTACH, "b", "b", 3, None, None, False),
+            (ATTACH, "S", "S", 1, None, None, False),
         ]
 
     def test_compose_marks_goal_filling_projections(self):
         # Every subtree's topmost projection fills its goal and composes;
         # spine-internal projections (NP -> a under goal S) do not.
-        moves = lc_derivation(t("(S (NP a) (VP b))"), compose=True)
-        composed = [m.rule.lhs for m in moves if m.kind == "project" and m.compose]
+        moves = events(t("(S (NP a) (VP b))"), compose=True)
+        composed = [m.label for m in moves if m.kind == "project" and m.compose]
         assert composed == ["S", "VP"]
 
     def test_compose_has_no_trailing_attach(self):
-        base = lc_derivation(t("(S (NP a) (VP b))"))
-        comp = lc_derivation(t("(S (NP a) (VP b))"), compose=True)
-        assert base.count(LcMove.attach()) == comp.count(LcMove.attach()) + 2
+        base = [m.kind for m in events(t("(S (NP a) (VP b))"))]
+        comp = [m.kind for m in events(t("(S (NP a) (VP b))"), compose=True)]
+        assert base.count(ATTACH) == comp.count(ATTACH) + 2
 
 
 class TestReplay:
     def test_round_trip_simple(self):
         tree = t("(S (NP (DT a) (NN b)) (VP (VB c)))")
-        assert replay(lc_derivation(tree), tree.label) == tree
+        assert replay(derivation_events(tree), tree.label) == tree
 
     def test_round_trip_compose(self):
         tree = t("(S (NP (DT a) (NN b)) (VP (VB c) (NP (NN d))))")
-        assert replay(lc_derivation(tree, compose=True), tree.label) == tree
+        assert replay(derivation_events(tree, compose=True), tree.label) == tree
 
     def test_round_trip_random_trees(self, rng):
         for _ in range(200):
             tree = random_tree(rng)
             for compose in (False, True):
-                assert replay(lc_derivation(tree, compose=compose), tree.label) == tree
+                assert replay(derivation_events(tree, compose=compose), tree.label) == tree
 
     def test_wrong_start_raises(self):
         tree = t("(S (NP a) (VP b))")
         with pytest.raises(ReplayError):
-            replay(lc_derivation(tree), "NP")
+            replay(derivation_events(tree), "NP")
 
     def test_truncated_derivation_raises(self):
-        moves = lc_derivation(t("(S (NP a) (VP b))"))
-        with pytest.raises(ReplayError):
-            replay(moves[:-1], "S")
+        moves = list(derivation_events(t("(S (NP a) (VP b))")))
+        # The index counts the moves read, from a list or an iterator.
+        for truncated in (moves[:-1], iter(moves[:-1])):
+            with pytest.raises(ReplayError, match="incomplete") as exc:
+                replay(truncated, "S")
+            assert exc.value.index == len(moves) - 1
+        with pytest.raises(ReplayError, match="incomplete") as exc:
+            replay([], "S")
+        assert exc.value.index == 0
 
     def test_shift_onto_found_raises(self):
-        with pytest.raises(ReplayError):
-            replay([LcMove.shift("a"), LcMove.shift("b")], "S")
+        with pytest.raises(ReplayError) as exc:
+            replay([(SHIFT, None, "S", None, "a", None, False),
+                    (SHIFT, None, "S", None, "b", None, False)], "S")
+        assert exc.value.index == 1
 
 
 class TestEvents:
@@ -211,7 +224,7 @@ class TestEvents:
                 kinds = [ev.kind for ev in events(tree, compose=compose)]
                 counts = (kinds.count("shift"), kinds.count("project"), kinds.count("attach"))
                 assert counts == (3001, 3001, attaches)
-                assert replay(lc_derivation(tree, compose=compose), tree.label) == tree
+                assert replay(derivation_events(tree, compose=compose), tree.label) == tree
             assert max_stack_depth(tree, compose=True) <= 4
 
     def test_depth_tracks_stack(self, rng):

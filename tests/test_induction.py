@@ -32,7 +32,7 @@ from test_derivation import reference_move_events
 
 
 # Counting oracle: relative-frequency induction as it was before events held
-# raw labels.  It builds a MoveEvent, LcMove and Rule per move from the
+# raw labels.  It builds a MoveEvent, Move and Rule per move from the
 # two-pass reference walk, and walks every tree twice for a delta model.
 
 def reference_pcfg(trees):

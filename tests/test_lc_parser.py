@@ -20,15 +20,18 @@ from plcg.lc_parser import (
     StackTable,
     TooManyDerivationsError,
     _closure,
+    _complete_states,
     _shift_table,
     beam_parse,
     exhaustive_lc_parse,
     initial_state,
     move_list,
+    recover_tree,
     shift_successor,
     successors,
 )
-from plcg.derivation import LcMove
+from plcg.derivation import ATTACH, SHIFT, derivation_events
+from plcg.grammar_types import DeltaModel
 from plcg.model_io import dumps, loads
 from plcg.transforms import binarize_corpus
 from plcg.treebank import (
@@ -142,13 +145,65 @@ def ambiguous_corpus():
     ]
 
 
+def reference_closure(states, model, stacks, tag=None):
+    """The exhaustive closure as it was before it shared the beam's loop:
+    every state in build order, complete ones among them, and
+    TooManyDerivationsError once more than ``STATE_LIMIT`` are built."""
+    top = stacks.top
+    out = list(states)
+    frontier = list(states)
+    rounds = 0
+    while frontier and rounds < lc_parser.MAX_NONSHIFT:
+        nxt = []
+        for st in frontier:
+            if st.stack and top[st.stack][0] == FOUND:
+                nxt.extend(lc_parser.successors(st, model, stacks, tag))
+        out.extend(nxt)
+        if len(out) > lc_parser.STATE_LIMIT:
+            raise TooManyDerivationsError("state count exceeded %d" % lc_parser.STATE_LIMIT)
+        frontier = nxt
+        rounds += 1
+    return out
+
+
+def closure_pools(model, sentence, closure, width=20):
+    """The states, as (stack, log-prob, moves), that ``closure`` returns at
+    each word boundary of ``sentence`` and after its last tag, along a beam
+    of the ``width`` best states that can shift each tag."""
+    base = model.base if isinstance(model, DeltaModel) else model
+    stacks = StackTable()
+    beam = [initial_state(model.start, stacks)]
+    pools = []
+    for tag in list(sentence) + [None]:
+        pool = closure(beam, model, stacks, tag)
+        pools.append([(stack_of(stacks, st), st.log_prob, move_list(st.moves)) for st in pool])
+        if tag is not None:
+            shifts = _shift_table(base, tag)
+            live = sorted((st for st in pool if can_shift(stacks, st, shifts)),
+                          key=lc_parser._rank)
+            beam = [shift_successor(st, tag, shifts, stacks) for st in live[:width]]
+    return pools
+
+
+@pytest.fixture
+def cyclic_model():
+    """Random trees under a ROOT, with unary cycles (S -> S, NP -> PP -> NP,
+    ...), and a three-tag sentence of theirs."""
+    rng = random.Random(0)
+    trees = [Tree("ROOT", (random_tree(rng),)) for _ in range(30)]
+    return induce_plcg(trees), next(tags for tags in map(leaves, trees) if len(tags) == 3)
+
+
 class TestMoveList:
     def test_prefix_sharing(self):
-        a = (LcMove.shift("a"), None)
-        b = (LcMove.attach(), a)
-        c = (LcMove.shift("b"), a)
-        assert move_list(b) == [LcMove.shift("a"), LcMove.attach()]
-        assert move_list(c) == [LcMove.shift("a"), LcMove.shift("b")]
+        shift_a = (SHIFT, None, "T", None, "a", None, False)
+        shift_b = (SHIFT, None, "T", None, "b", None, False)
+        attach = (ATTACH, "a", "a", None, None, None, False)
+        a = (shift_a, None)
+        b = (attach, a)
+        c = (shift_b, a)
+        assert move_list(b) == [shift_a, attach]
+        assert move_list(c) == [shift_a, shift_b]
         assert b[1] is c[1]
 
     def test_empty_derivation(self):
@@ -162,6 +217,16 @@ class TestMoveList:
         (child,) = successors(state, nested_model, stacks)
         assert child.moves[1] is state.moves
         assert len(move_list(child.moves)) == 2
+
+    def test_parser_moves_are_gold_events_without_depth(self):
+        # The best PLCG parse of each beam-golden sentence: its moves are
+        # the events of its tree's gold derivation, with depth blanked.
+        trees, model, _ = sample_models("base")
+        for tags in [leaves(tree) for tree in trees[:60]]:
+            best = _complete_states(tags, model, None, 10)[0]
+            moves = move_list(best.moves)
+            tree = recover_tree(best.moves, model.start)
+            assert moves == [ev[:3] + (None,) + ev[4:] for ev in derivation_events(tree)]
 
 
 class TestSuccessors:
@@ -315,6 +380,57 @@ class TestBeam:
         assert beam_parse(["b", "b"], nested_model, k=64) == []
 
 
+class TestExhaustiveClosure:
+    # _closure without keep against the exhaustive loop it replaced.
+    def test_same_states_as_the_reference_closure(self, nested_model, cyclic_model,
+                                                  monkeypatch):
+        cases = []
+        for variant in ("base", "delta"):
+            trees, model, _ = sample_models(variant)
+            cases += [(model, leaves(tree)) for tree in trees[:8]]
+        cases += [(nested_model, tags) for length in range(2, 5)
+                  for tags in itertools.product("abc", repeat=length)]
+        states = complete = 0
+        for model, tags in cases:
+            ref = closure_pools(model, tags, reference_closure)
+            # Complete states come last, each list in build order.
+            ref = [sorted(pool, key=lambda st: not st[0]) for pool in ref]
+            assert closure_pools(model, tags, _closure) == ref
+            states += sum(map(len, ref))
+            complete += sum(not st[0] for st in ref[-1])
+        assert states > 500 and complete > 10
+        # Unary cycles run until the round cap, which is lowered here to
+        # keep the reference's state count small.
+        model, tags = cyclic_model
+        for rounds in (1, 2, 3):
+            monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
+            ref = closure_pools(model, tags, reference_closure)
+            ref = [sorted(pool, key=lambda st: not st[0]) for pool in ref]
+            assert closure_pools(model, tags, _closure) == ref
+            assert max(len(moves) for pool in ref for _, _, moves in pool) > rounds
+
+    def test_state_limit_is_passed_at_the_same_point(self, nested_model, cyclic_model,
+                                                      monkeypatch):
+        # At every limit up to past the states these parses hold, both
+        # closures raise, or both do not, after building the same states.
+        built = count_built_states(monkeypatch)
+        raised = set()
+        for model, tags in ((nested_model, ["c", "a", "b", "b", "b"]), cyclic_model):
+            for limit in range(150):
+                monkeypatch.setattr(lc_parser, "STATE_LIMIT", limit)
+                outcomes = []
+                for closure in (reference_closure, _closure):
+                    built.clear()
+                    try:
+                        closure_pools(model, tags, closure)
+                        outcomes.append((False, sum(built)))
+                    except TooManyDerivationsError:
+                        outcomes.append((True, sum(built)))
+                assert outcomes[0] == outcomes[1], (tags, limit)
+                raised.add(outcomes[0][0])
+        assert raised == {False, True}
+
+
 class TestLookahead:
     @pytest.mark.parametrize("variant", ["base", "delta"])
     def test_closure_builds_only_states_that_can_shift_next_tag(self, variant):
@@ -382,13 +498,9 @@ class TestBounds:
         assert max(len(move_list(st.moves)) for st in pool) == 1
         assert 0 < sum(built) < 5 < lc_parser.MAX_NONSHIFT
 
-    def test_cyclic_unaries_close(self, monkeypatch):
-        # Random trees give unary cycles (S -> S, NP -> PP -> NP, ...); the
-        # unrecombined closure did not finish this sentence in 40 s.
-        rng = random.Random(0)
-        trees = [Tree("ROOT", (random_tree(rng),)) for _ in range(30)]
-        model = induce_plcg(trees)
-        tags = next(tags for tags in map(leaves, trees) if len(tags) == 3)
+    def test_cyclic_unaries_close(self, cyclic_model, monkeypatch):
+        # The unrecombined closure did not finish this sentence in 40 s.
+        model, tags = cyclic_model
         built = count_built_states(monkeypatch)
         parses = beam_parse(tags, model, k=100)
         assert parses
@@ -603,3 +715,12 @@ class TestDeltaVariant:
     def test_variant_requires_delta_model(self, nested_model):
         with pytest.raises(TypeError):
             beam_parse(["c", "a"], nested_model, k=4, variant="delta")
+
+    def test_variant_must_name_the_models_machine(self, ambiguous_corpus):
+        model = induce_delta_model(binarize_corpus(ambiguous_corpus))
+        tags = ["NN", "NN", "VB"]
+        with pytest.raises(TypeError):
+            beam_parse(tags, model, k=4, variant="base")
+        with pytest.raises(TypeError):
+            exhaustive_lc_parse(tags, model, variant="base")
+        assert beam_parse(tags, model, k=4, variant="delta") == beam_parse(tags, model, k=4)

@@ -121,7 +121,7 @@ class TestFormatErrors:
         ("plcg", "SHIFT\tS\tA\t%s"),
         ("plcg", "PROJ\tS\tA\tS\tA\t%s"),
         ("delta", "DELTA\t1\tA\tS\t-1\t%s"),
-        ("delta", "DPROJ\t1\t-1\tA\tS\tS\tA\t%s"),
+        ("delta", "DPROJ\t1\t-2\tA\tS\tS\tA\t%s"),
     ], ids=["RULE", "SHIFT", "PROJ", "DELTA", "DPROJ"])
     def test_count_below_one(self, kind, record):
         head = "PLCG-MODEL\t1\t%s\tS\n" % kind
@@ -167,7 +167,7 @@ class TestFormatErrors:
             assert main(["parse", str(model), str(tags)]) == 2
             assert "does not start with left corner DT" in capsys.readouterr().err
         head = "PLCG-MODEL\t1\tdelta\tS\n"
-        assert loads(head + "DPROJ\t1\t-2\tA\tS\t<attach>\t1\n" + START_SHIFT)
+        assert loads(head + "DPROJ\t1\t-2\tS\tS\t<attach>\t1\n" + START_SHIFT)
         for record in ("PROJ\tS\tA\tS\tB\tA\t1", "PROJ\tS\tA\tS\t1",
                        "DPROJ\t1\t-2\tA\tS\tS\tB\t1", "DPROJ\t1\t-2\tA\tS\tS\t1"):
             with pytest.raises(ModelFormatError, match="malformed line 2"):
@@ -199,6 +199,91 @@ class TestFormatErrors:
                     loads(bad.replace("\n", "\nSHIFT\n", 1))
             # Another symbol that begins a record loads.
             assert loads(head[:-1] + "NP\n" + rest).start == "NP"
+
+
+class TestImpossibleRecords:
+    # Records no induction writes: each would let the beam score moves that
+    # the model's own tree scorer gives probability zero, or ignore counts.
+    # A DPROJ delta is the move's stack change: -2 for <attach>, whose lc is
+    # its gc, len(rhs) - 1 for a projection, len(rhs) - 3 for a composed one,
+    # whose lhs is its gc; rules have at most two symbols.
+    HEAD = "PLCG-MODEL\t1\tdelta\tS\n"
+
+    def test_swapped_projection_deltas(self, tmp_path, capsys):
+        # Swapped, these two records gave the beam (S (NP a b) (VP c)) at
+        # -1.386, exit 0, for a tree delta_tree_log_prob scores -inf.
+        model = induce_delta_model([t("(S (NP a b) (VP c))"), t("(S (NP a) (VP c d))")])
+        text = dumps(model)
+        binary, unary = "DPROJ\t1\t1\ta\tS\tNP\ta\tb\t1", "DPROJ\t1\t0\ta\tS\tNP\ta\t1"
+        assert {binary, unary} <= set(text.splitlines())
+        swapped = (binary.replace("\t1\ta", "\t0\ta"), unary.replace("\t0\ta", "\t1\ta"))
+        tags = tmp_path / "tags.txt"
+        tags.write_text("a b c\n")
+        path = tmp_path / "model.delta"
+        path.write_text(text)
+        assert main(["parse", str(path), str(tags)]) == 0
+        assert "(S (NP a b) (VP c))" in capsys.readouterr().out
+        for bad in (text.replace(binary, swapped[0]), text.replace(unary, swapped[1]),
+                    text.replace(binary, swapped[0]).replace(unary, swapped[1])):
+            assert bad != text
+            with pytest.raises(ModelFormatError, match="no move with delta"):
+                loads(bad)
+            path.write_text(bad)
+            assert main(["parse", str(path), str(tags)]) == 2
+            assert "no move with delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        "DPROJ\t1\t1\ta\tS\tNP\ta\t1",
+        "DPROJ\t1\t0\ta\tS\tNP\ta\tb\t1",
+        "DPROJ\t1\t-1\ta\tS\tS\ta\t1",
+        "DPROJ\t1\t-2\ta\tS\tS\ta\tb\t1",
+        "DPROJ\t1\t2\ta\tS\tS\ta\t1",
+    ], ids=["unary+1", "binary0", "unary-1", "binary-2", "unary+2"])
+    def test_delta_must_be_the_stack_change(self, record):
+        with pytest.raises(ModelFormatError, match="malformed line 2.*no move with delta"):
+            loads(self.HEAD + record + "\n" + START_SHIFT)
+
+    @pytest.mark.parametrize("record", [
+        "DPROJ\t1\t-2\ta\tS\tNP\ta\t1",
+        "DPROJ\t1\t-1\tNP\tS\tVP\tNP\tVP\t1",
+    ], ids=["unary", "binary"])
+    def test_composed_projection_must_fill_its_goal(self, record):
+        with pytest.raises(ModelFormatError, match="malformed line 2.*no move with delta"):
+            loads(self.HEAD + record + "\n" + START_SHIFT)
+
+    @pytest.mark.parametrize("record", [
+        "DPROJ\t1\t0\ta\tS\tS\ta\tb\tc\t1",
+        "DPROJ\t1\t2\ta\tS\tNP\ta\tb\tc\t1",
+    ], ids=["composed", "plain"])
+    def test_rules_are_at_most_binary(self, record):
+        # A composed ternary rule's delta, 0, would read as a plain unary's.
+        with pytest.raises(ModelFormatError, match="malformed line 2.*no move with delta"):
+            loads(self.HEAD + record + "\n" + START_SHIFT)
+
+    @pytest.mark.parametrize("record", [
+        "DPROJ\t1\t-2\ta\tS\t<attach>\t1",
+        "DPROJ\t1\t-1\tS\tS\t<attach>\t1",
+        "DPROJ\t1\t0\tS\tS\t<attach>\t1",
+    ], ids=["lc!=gc", "delta-1", "delta0"])
+    def test_attach_is_of_a_corner_to_its_own_goal(self, record):
+        with pytest.raises(ModelFormatError, match="malformed line 2.*no move with delta"):
+            loads(self.HEAD + record + "\n" + START_SHIFT)
+
+    @pytest.mark.parametrize("kind", ["plcg", "delta"])
+    def test_attach_count_only_where_lc_is_gc(self, kind):
+        # p_att is 0 wherever lc != gc, so such a count was ignored.
+        head = "PLCG-MODEL\t1\t%s\tS\n" % kind
+        for att, total in ((1, 2), (2, 2)):
+            with pytest.raises(ModelFormatError, match="malformed line 2.*attach count"):
+                loads(head + "ATT\ta\tS\t%d\t%d\n" % (att, total) + START_SHIFT)
+        assert loads(head + "ATT\ta\tS\t0\t2\n" + START_SHIFT)
+
+    def test_every_possible_move_loads(self):
+        records = ["DPROJ\t1\t0\ta\tS\tNP\ta\t1", "DPROJ\t1\t1\ta\tS\tNP\ta\tb\t1",
+                   "DPROJ\t1\t-2\ta\tS\tS\ta\t1", "DPROJ\t1\t-1\ta\tS\tS\ta\tb\t1",
+                   "DPROJ\t1\t-2\tS\tS\t<attach>\t1", "ATT\tS\tS\t2\t2"]
+        model = loads(self.HEAD + "\n".join(records) + "\n" + START_SHIFT)
+        assert sum(map(len, model.rule_counts.values())) == 5
 
 
 def test_model_kind():

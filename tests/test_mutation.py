@@ -5,7 +5,7 @@ Each mutant of a small raw corpus (cut short, a bracket doubled, two
 brackets swapped, or a label dropped) goes through ``plcg induce`` for every
 model kind, ``plcg eval`` and ``plcg stats``.  Each mutant of a pcfg, plcg or
 delta model file (a field dropped or inserted, a count replaced, a record cut
-to two fields, or another start symbol) goes through ``plcg parse`` of a tag
+to two fields, another start symbol, or a DPROJ delta changed) goes through ``plcg parse`` of a tag
 file with unknown tags and blank lines, with one parse and with three.  Every
 run must exit with 0, 1 or 2 and print no traceback; an exception escaping
 ``main`` fails the test with its traceback."""
@@ -135,7 +135,20 @@ def change_start(rng, text):
     return "\t".join(fields) + "\n" + rest
 
 
-MODEL_MUTATIONS = [drop_field, insert_field, replace_count, cut_record, change_start]
+def change_delta(rng, text):
+    # Only delta models hold DPROJ records; the others stay as they are.
+    lines = text.splitlines()
+    picks = [i for i, line in enumerate(lines) if line.startswith("DPROJ\t")]
+    if picks:
+        i = rng.choice(picks)
+        fields = lines[i].split("\t")
+        fields[2] = rng.choice([d for d in ("-2", "-1", "0", "1", "2") if d != fields[2]])
+        lines[i] = "\t".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+MODEL_MUTATIONS = [drop_field, insert_field, replace_count, cut_record, change_start,
+                   change_delta]
 
 
 @pytest.fixture(scope="module")
