@@ -382,6 +382,15 @@ class TestBeam:
 
 class TestExhaustiveClosure:
     # _closure without keep against the exhaustive loop it replaced.
+    @staticmethod
+    def assert_closures_agree(model, tags):
+        """_closure's pools are the reference's with complete states moved
+        last, each list in build order; returns those pools."""
+        ref = [sorted(pool, key=lambda st: not st[0])
+               for pool in closure_pools(model, tags, reference_closure)]
+        assert closure_pools(model, tags, _closure) == ref
+        return ref
+
     def test_same_states_as_the_reference_closure(self, nested_model, cyclic_model,
                                                   monkeypatch):
         cases = []
@@ -392,22 +401,18 @@ class TestExhaustiveClosure:
                   for tags in itertools.product("abc", repeat=length)]
         states = complete = 0
         for model, tags in cases:
-            ref = closure_pools(model, tags, reference_closure)
-            # Complete states come last, each list in build order.
-            ref = [sorted(pool, key=lambda st: not st[0]) for pool in ref]
-            assert closure_pools(model, tags, _closure) == ref
-            states += sum(map(len, ref))
-            complete += sum(not st[0] for st in ref[-1])
+            pools = self.assert_closures_agree(model, tags)
+            states += sum(map(len, pools))
+            complete += sum(not st[0] for st in pools[-1])
         assert states > 500 and complete > 10
         # Unary cycles run until the round cap, which is lowered here to
-        # keep the reference's state count small.
+        # keep the reference's state count small; each cap binds.
         model, tags = cyclic_model
+        sizes = []
         for rounds in (1, 2, 3):
             monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
-            ref = closure_pools(model, tags, reference_closure)
-            ref = [sorted(pool, key=lambda st: not st[0]) for pool in ref]
-            assert closure_pools(model, tags, _closure) == ref
-            assert max(len(moves) for pool in ref for _, _, moves in pool) > rounds
+            sizes.append(sum(map(len, self.assert_closures_agree(model, tags))))
+        assert sizes[0] < sizes[1] < sizes[2]
 
     def test_state_limit_is_passed_at_the_same_point(self, nested_model, cyclic_model,
                                                       monkeypatch):
