@@ -35,6 +35,10 @@ from .treebank import (
     write_trees,
 )
 
+# A training load reduces to tags and binarizes inside one preprocess_corpus
+# pass, but to_pos_tree and binarize_corpus stay importable here: lcbench's
+# tracer wraps each layer under the name cli has for it.
+
 NO_PARSE = "-NOPARSE-"
 DEFAULT_BEAM = 100
 
@@ -62,12 +66,13 @@ def _add_preprocess_flags(p: argparse.ArgumentParser) -> None:
                    help="unary branch treatment (default: keep)")
 
 
-def _preprocess_options(args) -> PreprocessOptions:
+def _preprocess_options(args, **pipeline) -> PreprocessOptions:
     return PreprocessOptions(
         add_root=not args.no_root,
         strip_empties=not args.keep_empties,
         strip_function_tags=not args.keep_function_tags,
         unary_mode=UnaryMode(args.unary),
+        **pipeline,
     )
 
 
@@ -76,16 +81,19 @@ def _read_tree_file(path: str) -> list[Tree]:
         return read_trees(f)
 
 
-def _load_training_trees(args) -> list[Tree]:
-    trees = _read_tree_file(args.trees)
-    trees, dropped = preprocess_corpus(trees, _preprocess_options(args))
-    if dropped:
-        print("dropped %d tree(s) with empty yields" % dropped, file=sys.stderr)
-    if not trees:
-        raise ValueError("no usable trees in %s" % args.trees)
-    trees = [to_pos_tree(t) for t in trees]
-    if args.binarize or args.model == "delta":
-        trees = binarize_corpus(trees)
+def _load_training_trees(path: str, opts: PreprocessOptions) -> list[Tree]:
+    """The tree file read and put through ``opts`` in one pass.  The count
+    of dropped trees is reported before any error about the trees kept."""
+    dropped = 0
+    try:
+        with open(path, encoding="utf-8") as f:
+            trees, dropped = preprocess_corpus(f, opts)
+    except ValueError as exc:
+        dropped = getattr(exc, "dropped", 0)
+        raise
+    finally:
+        if dropped:
+            print("dropped %d tree(s) with empty yields" % dropped, file=sys.stderr)
     return trees
 
 
@@ -101,7 +109,11 @@ def _rule_counts(model: Model) -> dict:
 
 
 def cmd_induce(args) -> int:
-    trees = _load_training_trees(args)
+    binarize = args.binarize or args.model == "delta"
+    trees = _load_training_trees(args.trees, _preprocess_options(args, pos_tags=True,
+                                                                 binarize=binarize))
+    if not trees:
+        raise ValueError("no usable trees in %s" % args.trees)
     if args.model == "pcfg":
         model: Model = induce_pcfg(trees)
     elif args.model == "plcg":
@@ -155,7 +167,8 @@ def cmd_parse(args) -> int:
     for tags in sentences:
         parses = _parse_sentence(tags, model, args)
         if not parses:
-            print(NO_PARSE)
+            # An n-best block ends in a blank line, a no-parse one too.
+            print(NO_PARSE + ("\n" if args.n_best > 1 else ""))
             continue
         parsed += 1
         log_probs.append(parses[0][1])
@@ -213,12 +226,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    trees = _read_tree_file(args.trees)
-    opts = PreprocessOptions(unary_mode=UnaryMode.FOLD_UP)
-    trees, dropped = preprocess_corpus(trees, opts)
-    if dropped:
-        print("dropped %d tree(s) with empty yields" % dropped, file=sys.stderr)
-    trees = binarize_corpus([to_pos_tree(t) for t in trees])
+    opts = PreprocessOptions(unary_mode=UnaryMode.FOLD_UP, pos_tags=True, binarize=True)
+    trees = _load_training_trees(args.trees, opts)
 
     # Counts of stack-size change per stack size, over composed projections.
     # Projections that empty a goal as well (delta -2) are not tabulated.

@@ -1,17 +1,27 @@
-"""Bracketed-tree reading, writing, and treebank preprocessing."""
+"""Bracketed-tree reading, writing, and treebank preprocessing.
+
+Training input is built in one pass: ``preprocess_corpus`` over text or a
+file applies the whole pipeline (function-tag stripping, empty pruning,
+unary folding, ROOT wrapping and, if asked, reduction to tags and tail
+binarization) to each node as its bracket closes, so raw and word-level
+trees are never built.  The same per-node steps serve ``preprocess``,
+``fold_unaries`` and ``to_pos_tree`` on trees."""
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import is_
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 EMPTY_MARKER = "-NONE-"
 ROOT_LABEL = "ROOT"
 FUNCTION_DELIMITERS = "-="
+SEPARATOR = "@"  # reserved: joins a binarized node's tail labels
 
 
 class TreeReadError(ValueError):
@@ -92,10 +102,20 @@ class UnaryMode(str, Enum):
 
 @dataclass(frozen=True)
 class PreprocessOptions:
+    """A pipeline that is applied to each node as it is built: function-tag
+    stripping, empty-node pruning, unary folding and ROOT wrapping, then,
+    if asked, reduction of preterminals to tags and tail binarization."""
+
     add_root: bool = True
     strip_empties: bool = True
     strip_function_tags: bool = True
     unary_mode: UnaryMode = UnaryMode.KEEP
+    pos_tags: bool = False
+    binarize: bool = False
+
+
+_STAGE = dict(add_root=False, strip_empties=False, strip_function_tags=False)
+_TAGS = PreprocessOptions(**_STAGE, pos_tags=True)
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
@@ -112,16 +132,24 @@ def read_trees(source: str | TextIO) -> list[Tree]:
     ``( ... )`` around a single tree is unwrapped.  One pass over the tokens
     builds the nodes on an explicit stack, so depth is not bounded by Python
     recursion."""
-    text = source if isinstance(source, str) else source.read()
+    return _read(source if isinstance(source, str) else source.read(), None)
+
+
+def _read(text: str, steps) -> list:
+    """The top-level nodes of ``text``, each built as its bracket closes: as
+    a plain Tree when ``steps`` is None, and else by ``_builder``'s steps,
+    with words given as str."""
     # The same tokens as _TOKEN finds: brackets and the runs between them.
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    trees: list[Tree] = []
+    preterminal, close, _ = steps or (None, None, None)
+    trees: list = []
     # Per open node: its label (None until read), the children list it
     # belongs to, and the token index of its "(".
     labels: list = []
     outer: list[list] = []
     opens: list[int] = []
     children = trees
+    words = 0  # words among the children of open nodes
     at_label = False
     for i, tok in enumerate(tokens):
         if tok == "(":
@@ -146,12 +174,23 @@ def read_trees(source: str | TextIO) -> list[Tree]:
             if not kids:
                 raise TreeReadError("node %r has no children" % label,
                                     _token_offset(text, opened))
-            children.append(Tree(label, tuple(kids)))
+            if steps is None:
+                children.append(Tree(label, tuple(kids)))
+            elif len(kids) == 1 and kids[0].__class__ is str:
+                children.append(preterminal(label, kids[0], None))
+                words -= 1
+            else:
+                n_words = sum(k.__class__ is str for k in kids) if words else 0
+                words -= n_words
+                # A tree's top node, possibly inside an unlabelled wrapper.
+                top = not labels or (len(labels) == 1 and labels[0] is None)
+                children.append(close(label, kids, n_words, None, top))
         elif at_label:
             labels[-1] = tok
             at_label = False
         else:
-            children.append(Tree(tok))
+            children.append(Tree(tok) if steps is None else tok)
+            words += 1
     if labels:
         raise TreeReadError("unbalanced brackets", len(text))
     return trees
@@ -209,52 +248,136 @@ def first_node(t: Tree, test: Callable[[Tree], bool]) -> Tree | None:
     return None
 
 
-def _rebuild(t: Tree, strip_tags: bool, strip_empties: bool, mode: UnaryMode) -> Tree | None:
-    """Function-tag stripping, empty-node removal and unary folding in one
-    bottom-up pass; None when no pronounced word is left.
+class ReservedSymbolError(ValueError):
+    pass
+
+
+def _check_label(label: str) -> str:
+    if SEPARATOR in label:
+        raise ReservedSymbolError(
+            "label %r contains the reserved binarization separator %r" % (label, SEPARATOR)
+        )
+    return label
+
+
+class _Rejected(Exception):
+    """A node that only the stages run one at a time can settle."""
+
+
+@functools.lru_cache(maxsize=None)
+def _builder(opts: PreprocessOptions):
+    """``(preterminal, close, finish)``: the steps that build each node in
+    its final form, for the reader and ``_rebuild`` alike.  A node over one
+    word is ``preterminal(label, word, node)``; any other is ``close(label,
+    kids, words, node, top)``, where ``words`` of the kids are words (a str
+    when read) and a pruned kid is None.  ``node`` is the input Tree, whose
+    unchanged preterminal is reused, or None; ``top`` marks a top node.
+    ``finish(result)`` wraps a tree's top result in ROOT.
 
     A node folds (hoists its child for fold_up, takes its grandchildren for
-    fold_down) when it has one child left and that child is not a leaf, so
-    children fold before their parents and one pass reaches the fixpoint.
-    A top ``ROOT`` node with one child does not fold."""
-    fold = mode is not UnaryMode.KEEP
-    up = mode is UnaryMode.FOLD_UP
-    done: list = []
-    nones = 0  # how many entries of done are None
-    for node in post_order(t):
-        kids = node.children
-        if not kids:
-            done.append(node)
-            continue
-        label = node.label
+    fold_down) when it has one child left and that child is not a word, so
+    one bottom-up pass reaches the fixpoint; a top ``ROOT`` node does not
+    fold.  What only the stages one at a time can settle (words beside
+    phrases under tag reduction; under binarization, a separator in a label
+    or a fold_down onto a binarized node) raises _Rejected."""
+    strip_tags, strip_empties = opts.strip_function_tags, opts.strip_empties
+    mode = UnaryMode(opts.unary_mode)
+    fold, up = mode is not UnaryMode.KEEP, mode is UnaryMode.FOLD_UP
+    tags, binarize = opts.pos_tags, opts.binarize
+
+    def preterminal(label, word, node):
         # Labels starting with the delimiter (-NONE-, -LRB-, ...) stay intact.
         if strip_tags and label[0] not in FUNCTION_DELIMITERS:
             label = label.partition("-")[0].partition("=")[0]
-        n = len(kids)
-        if n == 1 and not kids[0].children:  # preterminal; its leaf is done[-1]
-            if strip_empties and label == EMPTY_MARKER:
-                done[-1] = None
-                nones += 1
-            elif label != node.label:
-                done[-1] = Tree(label, kids)
-            else:
-                done[-1] = node
-            continue
-        new = done[-n:]
-        del done[-n:]
-        if nones:
-            kept = [c for c in new if c is not None]
-            nones -= n - len(kept)
-            if not kept:
-                done.append(None)
-                nones += 1
-                continue
-            new = kept
-        if (fold and len(new) == 1 and new[0].children
-                and not (label == ROOT_LABEL and node is t)):
-            done.append(new[0] if up else Tree(label, new[0].children))
+        if strip_empties and label == EMPTY_MARKER:
+            return None
+        if binarize and (SEPARATOR in label or not tags and SEPARATOR in word):
+            raise _Rejected
+        if tags:
+            return Tree(label)
+        if node is None:
+            return Tree(label, (Tree(word),))
+        return node if label == node.label else Tree(label, node.children)
+
+    def close(label, kids, words, node, top):
+        if strip_tags and label[0] not in FUNCTION_DELIMITERS:
+            label = label.partition("-")[0].partition("=")[0]
+        if binarize and SEPARATOR in label:
+            raise _Rejected
+        if not all(kids):  # a kid was pruned
+            kids = [k for k in kids if k is not None]
+            if not kids:
+                return None
+            node = None
+        if fold and not words and len(kids) == 1 and not (top and label == ROOT_LABEL):
+            k = kids[0]
+            if up:
+                return k
+            if binarize and len(k.children) == 2 and SEPARATOR in k.children[1].label:
+                raise _Rejected  # k is binarized: its tail labels would change too
+            return Tree(label, k.children)
+        if words:
+            if tags and words < len(kids):
+                raise _Rejected
+            if tags and len(kids) == 1:  # a preterminal once its empties are pruned
+                return Tree(label)
+            kids = [Tree(k) if k.__class__ is str else k for k in kids]
+            if binarize and any(SEPARATOR in k.label for k in kids):
+                raise _Rejected
+        if binarize and len(kids) > 2:
+            return _tail_chain(label, kids)
+        if (not tags and node is not None and label == node.label
+                and all(map(is_, kids, node.children))):
+            return node  # nothing below it changed
+        return Tree(label, tuple(kids))
+
+    def finish(v):
+        if v.__class__ is str:  # a tree that is one word
+            if opts.add_root and v != ROOT_LABEL:
+                return preterminal(ROOT_LABEL, v, None)
+            if binarize and SEPARATOR in v:
+                raise _Rejected
+            return Tree(v)
+        return Tree(ROOT_LABEL, (v,)) if opts.add_root and v.label != ROOT_LABEL else v
+
+    return preterminal, close, finish
+
+
+_TAG_STEPS = _builder(_TAGS)
+
+
+def _rebuild(t: Tree, steps):
+    """``_builder``'s steps over every node of ``t``, children first: the
+    top node's result, or None when no pronounced word is left."""
+    preterminal, close, _ = steps
+    if not t.children:
+        return t.label
+    # post_order(t) without the word under each preterminal, which the
+    # preterminal step reads from its node.
+    order = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        kids = node.children
+        if len(kids) != 1 or kids[0].children:
+            todo += kids
+    done: list = []
+    words = 0  # words in done
+    for node in reversed(order):
+        kids = node.children
+        if not kids:
+            done.append(node)
+            words += 1
+        elif len(kids) == 1 and not kids[0].children:
+            done.append(preterminal(node.label, kids[0].label, node))
         else:
-            done.append(Tree(label, tuple(new)))
+            n = len(kids)
+            n_words = sum(not c.children for c in kids) if words else 0
+            words -= n_words
+            value = close(node.label, done[-n:], n_words, node, node is t)
+            del done[-n:]
+            done.append(value)
     return done[0]
 
 
@@ -266,31 +389,82 @@ def fold_unaries(t: Tree, mode: UnaryMode) -> Tree:
     mode = UnaryMode(mode)
     if mode is UnaryMode.KEEP:
         return t
-    return _rebuild(t, False, False, mode)
+    return preprocess(t, PreprocessOptions(**_STAGE, unary_mode=mode))
 
 
 def preprocess(t: Tree, opts: PreprocessOptions) -> Tree:
-    """Apply the standard pipeline: function-tag stripping, empty-node
-    removal, optional unary folding, and root wrapping."""
-    out = _rebuild(t, opts.strip_function_tags, opts.strip_empties, UnaryMode(opts.unary_mode))
-    if out is None:
+    """Apply the pipeline ``opts`` to one tree in one bottom-up pass.  Raises
+    VacuousTreeError when no pronounced word is left."""
+    out, dropped = preprocess_corpus([t], opts)
+    if dropped:
         raise VacuousTreeError("tree has no pronounced words after stripping")
-    if opts.add_root and out.label != ROOT_LABEL:
-        out = Tree(ROOT_LABEL, (out,))
-    return out
+    return out[0]
 
 
 def preprocess_corpus(
-    trees: Iterable[Tree], opts: PreprocessOptions
+    source: Iterable[Tree] | str | TextIO, opts: PreprocessOptions
 ) -> tuple[list[Tree], int]:
-    """Preprocess each tree, dropping vacuous ones; returns (trees, dropped)."""
-    out, dropped = [], 0
-    for t in trees:
+    """Preprocess each tree, dropping vacuous ones; returns (trees, dropped).
+
+    ``source`` is trees, or bracketed text or a file, which is then read and
+    put through ``opts`` in one pass: each node is built once, as its
+    bracket closes, and with ``opts.pos_tags`` a word under a preterminal is
+    never built.  A read error comes first; then a tree that ``to_pos_tree``
+    or ``binarize_tree`` refuses raises its error, which carries
+    ``dropped``."""
+    steps = _builder(opts)
+    text = source if isinstance(source, str) else source.read() if hasattr(source, "read") else None
+    try:
+        trees = list(source) if text is None else None
+        out = [_rebuild(t, steps) for t in trees] if text is None else _read(text, steps)
+        kept = [steps[2](r) for r in out if r is not None]
+    except _Rejected:
+        # Run the stages one at a time over all the trees, so that the error
+        # is the first stage's own, for the first tree it refuses.
+        trees = trees if text is None else read_trees(text)
+        out, dropped = preprocess_corpus(trees, replace(opts, pos_tags=False, binarize=False))
         try:
-            out.append(preprocess(t, opts))
-        except VacuousTreeError:
-            dropped += 1
-    return out, dropped
+            out = [to_pos_tree(t) for t in out] if opts.pos_tags else out
+            return [binarize_tree(t) for t in out] if opts.binarize else out, dropped
+        except ValueError as exc:
+            exc.dropped = dropped
+            raise
+    return kept, len(out) - len(kept)
+
+
+def _tail_chain(label: str, kids: list[Tree]) -> Tree:
+    """``label`` over ``kids`` (n >= 3) as a right chain of n - 2 tail nodes
+    ``label@k1``, ``label@k1@k2``, ..., built from the right."""
+    labels = [label]
+    for c in kids[:-2]:
+        labels.append(labels[-1] + SEPARATOR + c.label)
+    tail = Tree(labels[-1], (kids[-2], kids[-1]))
+    for i in range(len(kids) - 3, -1, -1):
+        tail = Tree(labels[i], (kids[i], tail))
+    return tail
+
+
+def binarize_tree(t: Tree) -> Tree:
+    """Tail-binarize every node of ``t`` in one bottom-up pass.  Each node
+    with n >= 3 children becomes a right chain of n - 2 tail nodes, built
+    from the right.  A label holding the separator raises
+    ReservedSymbolError, for the first such node in pre-order."""
+    done: list[Tree] = []
+    for node in post_order(t):
+        if SEPARATOR in node.label:
+            _check_label(first_node(t, lambda nd: SEPARATOR in nd.label).label)
+        n = len(node.children)
+        if not n:
+            done.append(node)
+            continue
+        kids = done[-n:]
+        del done[-n:]
+        done.append(Tree(node.label, tuple(kids)) if n <= 2 else _tail_chain(node.label, kids))
+    return done[0]
+
+
+def binarize_corpus(trees: Sequence[Tree]) -> list[Tree]:
+    return [binarize_tree(t) for t in trees]
 
 
 def leaves(t: Tree) -> list[str]:
@@ -317,23 +491,12 @@ def to_pos_tree(t: Tree) -> Tree:
     Expects word-level trees.  A node that mixes bare leaves with other
     children marks a tree already at tag level, whose unary phrases such as
     ``(NP PRP)`` would read as preterminals; it raises ValueError."""
-    done: list[Tree] = []
-    for node in post_order(t):
-        kids = node.children
-        if not kids:
-            done.append(node)
-        elif len(kids) == 1 and not kids[0].children:
-            done[-1] = Tree(node.label)
-        else:
-            n = len(kids)
-            if not all(c.children for c in kids) and _mixes_leaves(node):
-                bad = first_node(t, _mixes_leaves)
-                raise ValueError("%s mixes bare leaves with phrases; expected a word-level "
-                                 "tree: %s" % (bad.label, write_tree(bad)))
-            new = tuple(done[-n:])
-            del done[-n:]
-            done.append(Tree(node.label, new))
-    return done[0]
+    try:
+        return _TAG_STEPS[2](_rebuild(t, _TAG_STEPS))
+    except _Rejected:
+        bad = first_node(t, _mixes_leaves)
+        raise ValueError("%s mixes bare leaves with phrases; expected a word-level "
+                         "tree: %s" % (bad.label, write_tree(bad))) from None
 
 
 def read_tree(text: str) -> Tree:

@@ -8,16 +8,20 @@ import pytest
 
 import plcg
 from plcg.cli import main
+from plcg.corpus import generate_corpus
 from plcg.induction import induce_delta_model, induce_plcg
 from plcg.lc_parser import beam_parse
 from plcg.transforms import binarize_corpus
 from plcg.treebank import (
     PreprocessOptions,
+    Tree,
     leaves,
+    post_order,
     preprocess_corpus,
     read_trees,
     to_pos_tree,
     write_tree,
+    write_trees,
 )
 
 
@@ -93,6 +97,25 @@ class TestInduce:
         tagged.write_text("(S (NP PRP) (VP VB (NP DT NN)))\n")
         code, _, err = run(capsys, ["induce", str(tagged), str(tmp_path / "m")])
         assert code == 2 and "word-level" in err
+
+    @pytest.mark.parametrize("kind", ["plcg", "delta"])
+    def test_builds_each_training_node_once(self, tmp_path, capsys, monkeypatch, kind):
+        # Reading, preprocessing, tag reduction and (for delta) binarization
+        # are one pass: every Tree built is a node of the training trees, and
+        # no word under a preterminal is built at all.
+        corpus = tmp_path / "raw.mrg"
+        corpus.write_text(write_trees(generate_corpus(80, seed=4, raw=True))
+                          + "( (S (NP (PRP he)) (VP (VB ran))) )\n(NP a b c)\n")
+        trees = [to_pos_tree(t) for t in preprocess_corpus(read_trees(corpus.read_text()),
+                                                           PreprocessOptions())[0]]
+        nodes = sum(len(post_order(t)) for t in (binarize_corpus(trees) if kind == "delta"
+                                                  else trees))
+        built = []
+        init = Tree.__init__
+        monkeypatch.setattr(Tree, "__init__", lambda self, *a: built.append(init(self, *a)))
+        assert main(["induce", str(corpus), str(tmp_path / "m"), "--model", kind]) == 0
+        monkeypatch.undo()
+        assert len(built) == nodes
 
     def test_delta_binarizes_without_being_asked(self, workspace, capsys):
         # The delta model is defined over binarized trees, so --binarize
@@ -219,6 +242,18 @@ class TestParse:
         assert code == 0
         first_block = out.split("\n\n")[0].splitlines()
         assert first_block[0].startswith("1\t")
+
+    def test_n_best_no_parse_block_ends_in_a_blank_line(self, workspace, capsys):
+        # Each sentence's block ends in a blank line, so splitting the output
+        # on blank lines gives one block per sentence.
+        model = self.induce(workspace, capsys)
+        tags = workspace / "t3.txt"
+        tags.write_text("PRP VB\nXX YY\nPRP VB\n")
+        code, out, _ = run(capsys, ["parse", str(model), str(tags), "--n-best", "3"])
+        assert code == 0 and out.endswith("\n\n")
+        blocks = out[:-2].split("\n\n")
+        assert len(blocks) == 3 and blocks[1] == "-NOPARSE-"
+        assert blocks[0] == blocks[2] and blocks[0].startswith("1\t")
 
     def test_engine_model_mismatch_is_usage_error(self, workspace, capsys):
         # The model kind picks the engine; flags it does not take are errors.

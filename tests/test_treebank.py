@@ -1,10 +1,12 @@
 import dataclasses
 import io
+import itertools
 
 import pytest
 
 from conftest import chain, t
 from plcg.corpus import generate_corpus, random_tree
+from plcg.transforms import ReservedSymbolError, binarize_corpus
 from plcg.treebank import (
     PreprocessOptions,
     Tree,
@@ -187,17 +189,55 @@ def oracle_trees(rng):
     return trees + [annotate(rng, tree) for tree in trees]
 
 
+ALL_OPTIONS = [PreprocessOptions(add_root=r, strip_empties=e, strip_function_tags=f, unary_mode=m)
+               for r, e, f, m in itertools.product((True, False), (True, False), (True, False),
+                                                   UnaryMode)]
+
+# Shapes the one-pass load must build as the separate passes do.
+LOAD_SHAPES = [
+    "(S (NP (PRP he)) (VP (VB ran)))", "(X (Y (NN a)))", "(X (Y (Z (NN a) (NN b))))",
+    "(S (NP (-NONE- *) dog) (VP (VB ran)))", "(NP (-NONE- *) w)", "(-NONE- (-NONE- *) w)",
+    "(S (NP a b c) (VP (VB x)))", "(NP a b)", "w", "ROOT", "(S (-NONE- *))", "(-NONE- *)",
+    "( (S (NP (PRP he)) (VP (VB ran))) )", "( w )", "( (-NONE- *) )",
+    "( (ROOT (S (NP (PRP he)) (VP (VB ran)))) )", "(ROOT (S (NP (PRP he)) (VP (VB ran))))",
+    "(ROOT (S (NP (NN x))))", "(ROOT-1 (X (Y (NN a))))", "(ROOT (NN a))", "(ROOT a b)",
+    "(X (Y (A a) (B b) (C c)))", "(X (Y (A a) (B b) (C c) (D d)))", "(A (B (C a b c)))",
+    "(S (N@P (DT a)) (VP (VB b) (NP (DT c) (NN d) (NN e))))", "(S (NP (D@T a)) (VP (VB b)))",
+    "(S (NP (DT a@b)) (VP (VB c)))", "(NP a@b c)", "a@b", "(X@Y (S (NP (NN a)) (VP (VB b))))",
+    "(X@Y (Z (NN a)))", "(S (NP (DT a)) b)", "(S (NP PRP) (VP VB (NP DT NN)))",
+    "(S (NP-SBJ=2 (-NONE- *T*-1)) (VP-TMP (VB go) (NP (NN x) (-NONE- 0))))",
+    "(S " + "(X " * 1500 + "(NN a)" + ")" * 1501, "(S" + " (NN a)" * 1500 + ")",
+]
+
+
+def staged_load(text, opts, binarize):
+    """The training load as separate passes over trees."""
+    trees, dropped = preprocess_corpus(read_trees(text), opts)
+    trees = [to_pos_tree(t) for t in trees]
+    return (binarize_corpus(trees) if binarize else trees), dropped
+
+
+def one_pass_load(text, opts, binarize):
+    full = dataclasses.replace(opts, pos_tags=True, binarize=binarize)
+    return preprocess_corpus(io.StringIO(text), full)
+
+
+def load_outcome(load, text, opts, binarize):
+    """The load's (trees, dropped), or its error with the dropped count it
+    carries."""
+    try:
+        return load(text, opts, binarize)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "dropped", None)
+
+
 class TestOracles:
     """The one-pass reader, preprocessing and tag reduction against the
     recursive code they replaced."""
 
     def test_preprocess_matches_reference(self, rng):
-        all_opts = [PreprocessOptions(add_root=r, strip_empties=e, strip_function_tags=f,
-                                      unary_mode=m)
-                    for r in (True, False) for e in (True, False) for f in (True, False)
-                    for m in UnaryMode]
         for tree in oracle_trees(rng):
-            for opts in all_opts:
+            for opts in ALL_OPTIONS:
                 assert outcome(preprocess, tree, opts) == outcome(
                     reference_preprocess, tree, opts), (write_tree(tree), opts)
             for mode in UnaryMode:
@@ -236,6 +276,41 @@ class TestOracles:
             texts += [text, "( %s )" % text, text.replace(" ", "\n  ").replace(")", " ) ")]
         for text in texts:
             assert outcome(read_trees, text) == outcome(reference_read_trees, text), text
+
+    def test_one_pass_load_matches_the_separate_passes(self, rng):
+        texts = LOAD_SHAPES + [write_tree(tree) for tree in oracle_trees(rng)]
+        texts += [write_trees(generate_corpus(60, seed=seed, raw=True)) for seed in range(3)]
+        texts.append("".join(text + "\n" for text in texts[:12]))
+        for text, opts, binarize in itertools.product(texts, ALL_OPTIONS, (False, True)):
+            want = load_outcome(staged_load, text, opts, binarize)
+            if isinstance(want[0], type) and want[0] is not TreeReadError:
+                # A tree a later pass refuses: the error carries the drops.
+                want = want[:3] + (preprocess_corpus(read_trees(text), opts)[1],)
+            got = load_outcome(one_pass_load, text, opts, binarize)
+            assert got == want, (text[:200], opts, binarize)
+            # The same pipeline over trees, in one walk per tree.
+            full = dataclasses.replace(opts, pos_tags=True, binarize=binarize)
+            if isinstance(want[0], list):
+                assert preprocess_corpus(read_trees(text), full) == want
+
+    def test_one_pass_load_reports_the_first_fault_of_the_first_pass(self):
+        cases = [
+            # A mixed tree before a read fault: the read error.
+            ("(S (NP (DT a)) b)\n(S (-NONE- *))\n(S (X y)\n",
+             (TreeReadError, "unbalanced brackets (at offset 42)", 42, None)),
+            # An @ tree before a mixed tree: the mixed tree, in its word-level form.
+            ("(S (N@P (DT a)) (VP (VB b)))\n(S (NP-SBJ (-NONE- *)))\n(S (NP (DT a)) (X b))\n"
+             "(S-1 (NP (DT a)) b (-NONE- *))\n",
+             (ValueError, "S mixes bare leaves with phrases; expected a word-level tree: "
+              "(S (NP (DT a)) b)", None, 1)),
+            # Two @ trees: the first label in pre-order of the first tree.
+            ("(S (-NONE- *))\n(S (NP (D@T a)) (V@P (VB b)))\n(S (N@P (NN c)) (VP (VB d)))\n",
+             (ReservedSymbolError, "label 'D@T' contains the reserved binarization "
+              "separator '@'", None, 1)),
+        ]
+        for text, want in cases:
+            assert load_outcome(one_pass_load, text, PreprocessOptions(), True) == want
+            assert load_outcome(staged_load, text, PreprocessOptions(), True)[:3] == want[:3]
 
     def test_malformed_input_errors_match_reference(self, rng):
         cases = {
