@@ -1,14 +1,14 @@
 """Chart-filling inner loops of ``plcg.chart`` over the integer-indexed
 numpy arrays of a compiled PCFG.
 
-The Viterbi fill works one span length at a time: every span of that
-length scores every binary rule at every split in one numpy expression,
-and a tie goes to the first rule, then the first split, that reaches the
-best score.  The unary closure then runs, one span at a time, only on the
-spans where some unary rule's child is already scored; on any other span
-a pass over the unary rules changes nothing.  The inside fill scores one
-span at a time.  The binary rules must be sorted by lhs, so that each lhs
-owns one contiguous run of rule indices.
+Both fills work one span length at a time, and one gather scores every
+binary rule at every split of every span of that length.  In the Viterbi
+fill a tie goes to the first rule, then the first split, that reaches the
+best score; its unary closure then runs, one span at a time, only on the
+spans where some unary rule's child is already scored.  The inside fill
+applies the unary closure R_U = (I - P_U)^-1, solved once per grammar, to
+all spans of a length at once, so it is exact on unary cycles.  The binary
+rules must be sorted by lhs, so each lhs owns one run of rule indices.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 NEG_INF = float("-inf")
-# Inside fill: unary passes per span, and the change that counts as none.
-MAX_UNARY_PASSES = 200
-UNARY_TOL = 1e-14
 
 
 def _lhs_runs(bin_lhs):
@@ -27,10 +24,12 @@ def _lhs_runs(bin_lhs):
     return starts, bin_lhs[starts], np.diff(starts, append=bin_lhs.shape[0])
 
 
-def _split_scores(chart, i, j, bin_r1, bin_r2, bin_lp):
-    """Score of every binary rule (columns) at every split (rows) of span
-    (i, j), added as ``(w + left) + right``."""
-    return bin_lp + chart[i, i + 1:j][:, bin_r1] + chart[i + 1:j, j][:, bin_r2]
+def _gather(chart, spans, length, bin_r1, bin_r2, bin_lp):
+    """The (span, split, rule) scores of each span (i, i + length), i in
+    ``spans``, added as ``(w + left) + right``."""
+    mids = spans[:, None] + np.arange(1, length)
+    left = chart[spans[:, None], mids][..., bin_r1]
+    return bin_lp + left + chart[mids, (spans + length)[:, None]][..., bin_r2]
 
 
 def viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
@@ -50,11 +49,7 @@ def viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
     for length in range(1, n + 1):
         spans = np.arange(n - length + 1)
         if length > 1 and n_bin:
-            # Every span of this length at every split: (span, split, rule).
-            mids = spans[:, None] + np.arange(1, length)
-            left = best[spans[:, None], mids][..., bin_r1]
-            right = best[mids, (spans + length)[:, None]][..., bin_r2]
-            cand = bin_lp + left + right
+            cand = _gather(best, spans, length, bin_r1, bin_r2, bin_lp)
             split = cand.argmax(axis=1)
             rule_best = cand[spans[:, None], split, rule_ids]
             lhs_best = np.maximum.reduceat(rule_best, starts, axis=1)
@@ -96,29 +91,15 @@ def _unary_closure(best, back_op, back_split, i, j, unary):
         back_split[i, j, syms] = -1
 
 
-def inside_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
-                 un_lhs, un_child, un_lp, inside):
-    """Fill the inside chart (log probabilities) in place."""
+def inside_fill(n, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp, un_syms, un_closure, inside):
+    """Fill the inside chart (log probabilities) in place, one span length
+    at a time; row k of ``un_closure`` is log R_U from ``un_syms[k]``."""
     starts, run_lhs, _ = _lhs_runs(bin_lhs)
+    inside[np.arange(n), np.arange(1, n + 1), term_ids] = 0.0
     for length in range(1, n + 1):
-        for i in range(n - length + 1):
-            j = i + length
-            base = np.full(n_syms, NEG_INF)
-            if length == 1:
-                base[term_ids[i]] = 0.0
-            elif bin_lhs.shape[0]:
-                cand = _split_scores(inside, i, j, bin_r1, bin_r2, bin_lp)
-                base[run_lhs] = np.logaddexp.reduceat(np.logaddexp.reduce(cand, axis=0), starts)
-            # Solve I = base + sum_unary by Jacobi iteration; exact in
-            # finitely many passes on acyclic unary graphs.
-            cur = base
-            for _ in range(MAX_UNARY_PASSES):
-                nxt = base.copy()
-                np.logaddexp.at(nxt, un_lhs, un_lp + cur[un_child])
-                moved = np.flatnonzero(nxt != cur)
-                done = not (np.isneginf(cur[moved]).any()
-                            or (np.abs(nxt[moved] - cur[moved]) > UNARY_TOL).any())
-                cur = nxt
-                if done:
-                    break
-            inside[i, j] = cur
+        spans = np.arange(n - length + 1)
+        at = (spans[:, None], (spans + length)[:, None])
+        if length > 1 and bin_lhs.shape[0]:
+            cand = np.logaddexp.reduce(_gather(inside, spans, length, bin_r1, bin_r2, bin_lp), axis=1)
+            inside[at + (run_lhs,)] = np.logaddexp.reduceat(cand, starts, axis=1)
+        inside[at + (un_syms,)] = np.logaddexp.reduce(un_closure + inside[at], axis=2)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,29 @@ class CompiledPcfg:
     un_lp: np.ndarray
     start_id: int
 
+    @cached_property
+    def unary_closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inside fill's unary closure, solved on first use: the symbols
+        from which a unary chain reaches one with a binary rule or no unary
+        rule, on which I - P_U is invertible, and log R_U = log (I - P_U)^-1
+        from each of them to every symbol."""
+        n_syms = len(self.syms)
+        step = np.zeros((n_syms, n_syms))
+        step[self.un_lhs, self.un_child] = np.exp(self.un_lp)
+        has_unary = np.bincount(self.un_lhs, minlength=n_syms) > 0
+        unary = np.flatnonzero(has_unary)
+        reach = np.eye(n_syms)[unary] + step[unary] > 0
+        # After k squarings, reach covers every chain of up to 2^k steps.
+        for _ in range(len(unary).bit_length()):
+            reach = reach[:, unary].astype(float) @ reach > 0
+        leaks = ~has_unary | (np.bincount(self.bin_lhs, minlength=n_syms) > 0)
+        keep = reach[:, leaks].any(axis=1)
+        syms, reach = unary[keep], reach[keep]
+        rhs = step[syms]
+        rhs[:, syms] = np.eye(len(syms))
+        r_u = np.linalg.solve(np.eye(len(syms)) - step[np.ix_(syms, syms)], rhs)
+        return syms, np.log(r_u, out=np.full_like(r_u, NEG_INF), where=reach & (r_u > 0))
+
 
 def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
     binarized = binarize_pcfg(model)
@@ -70,36 +94,38 @@ def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
     )
 
 
-def _compiled(model: PcfgModel) -> CompiledPcfg:
+def _prologue(tags: Sequence[str], model: PcfgModel) -> tuple[CompiledPcfg, Optional[np.ndarray]]:
+    """The compiled model, and the tags' symbol ids or None for an unknown tag."""
+    if not tags:
+        raise ValueError("empty tag sequence")
     if model.compiled is None:
         model.compiled = compile_pcfg(model)
-    return model.compiled
+    g = model.compiled
+    terms = [g.sym_ids.get(t) for t in tags]
+    return g, None if None in terms else np.array(terms, dtype=np.int64)
 
 
-def _term_ids(tags: Sequence[str], g: CompiledPcfg) -> Optional[np.ndarray]:
-    try:
-        return np.array([g.sym_ids[t] for t in tags], dtype=np.int64)
-    except KeyError:
-        return None
+def _too_long(n: int) -> ValueError:
+    return ValueError("the chart of a %d-tag sentence does not fit in memory" % n)
 
 
 def viterbi_parse(tags: Sequence[str], model: PcfgModel) -> Optional[tuple[Tree, float]]:
     """Highest-probability parse of the tag sequence, or None when the
     grammar does not cover it."""
-    if not tags:
-        raise ValueError("empty tag sequence")
-    g = _compiled(model)
-    terms = _term_ids(tags, g)
+    g, terms = _prologue(tags, model)
     if terms is None:
         return None
     n, n_syms = len(tags), len(g.syms)
-    best = np.full((n + 1, n + 1, n_syms), NEG_INF)
-    back_op = np.full((n + 1, n + 1, n_syms), -1, dtype=np.int64)
-    back_split = np.full((n + 1, n + 1, n_syms), -1, dtype=np.int64)
-    _kernels.viterbi_fill(
-        n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
-        g.un_lhs, g.un_child, g.un_lp, best, back_op, back_split,
-    )
+    try:
+        best = np.full((n + 1, n + 1, n_syms), NEG_INF)
+        back_op = np.full(best.shape, -1, dtype=np.int64)
+        back_split = np.full(best.shape, -1, dtype=np.int64)
+        _kernels.viterbi_fill(
+            n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
+            g.un_lhs, g.un_child, g.un_lp, best, back_op, back_split,
+        )
+    except MemoryError:
+        raise _too_long(n) from None
     score = best[0, n, g.start_id]
     if score == NEG_INF:
         return None
@@ -144,18 +170,16 @@ def _extract(g: CompiledPcfg, tags, back_op, back_split, i, j, sym) -> Tree:
 
 def sentence_probability(tags: Sequence[str], model: PcfgModel) -> float:
     """Inside probability: the summed probability of all parses."""
-    if not tags:
-        raise ValueError("empty tag sequence")
-    g = _compiled(model)
-    terms = _term_ids(tags, g)
+    g, terms = _prologue(tags, model)
     if terms is None:
         return 0.0
-    n, n_syms = len(tags), len(g.syms)
-    inside = np.full((n + 1, n + 1, n_syms), NEG_INF)
-    _kernels.inside_fill(
-        n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
-        g.un_lhs, g.un_child, g.un_lp, inside,
-    )
+    n = len(tags)
+    try:
+        inside = np.full((n + 1, n + 1, len(g.syms)), NEG_INF)
+        _kernels.inside_fill(n, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
+                             *g.unary_closure, inside)
+    except MemoryError:
+        raise _too_long(n) from None
     lp = inside[0, n, g.start_id]
     return math.exp(lp) if lp != NEG_INF else 0.0
 
@@ -166,10 +190,8 @@ def enumerate_parses(
     """All distinct parses with exact probabilities; test oracle for small
     grammars.  Raises when the parse count exceeds ``limit`` or the grammar
     has a unary cycle over the input."""
-    if not tags:
-        raise ValueError("empty tag sequence")
-    g = _compiled(model)
-    if any(t not in g.sym_ids for t in tags):
+    g, terms = _prologue(tags, model)
+    if terms is None:
         return []
     n = len(tags)
     memo: dict[tuple[int, int, str], list[Tree]] = {}
@@ -202,11 +224,8 @@ def enumerate_parses(
         memo[key] = out
         return out
 
-    trees = derive(0, n, model.start)
-    if len(trees) > limit:
-        raise TooManyParsesError("more than %d parses" % limit)
     results = []
-    for bt in trees:
+    for bt in derive(0, n, model.start):
         t = debinarize_tree(bt)
         lp = pcfg_tree_log_prob(t, model)
         results.append((t, math.exp(lp) if lp != NEG_INF else 0.0))

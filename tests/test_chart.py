@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import chain, t
-from plcg import _kernels
+from plcg import _kernels, model_io
 from plcg.chart import (
     TooManyParsesError,
     UnaryCycleError,
@@ -325,3 +325,71 @@ class TestFillOracle:
         tree, lp = viterbi_parse(["c", "c", "c"], tie_model())
         assert tree == t("(E (F c) (G c c))")
         assert lp == 3 * math.log(0.5)
+
+
+def two_cycle_model(num, den):
+    # A -> B and B -> A each with probability p = num / den, so over "a"
+    # the inside probability of A is (1 - p) / (1 - p^2).
+    return model_from({
+        ("A", ("B",)): num, ("A", ("a",)): den - num,
+        ("B", ("A",)): num, ("B", ("b",)): den - num,
+    }, start="A")
+
+
+class TestInsideOracle:
+    @pytest.mark.parametrize("case", ["pp", "ties", "generated", "no-unary", "mixed-diagonal"])
+    def test_inside_equals_enumerated_mass(self, case):
+        model, sentences = ORACLE_CASES[case]()
+        for tags in sentences:
+            total = sum(p for _, p in enumerate_parses(tags, model))
+            assert sentence_probability(tags, model) == pytest.approx(total, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_viterbi_never_exceeds_inside(self, case):
+        model, sentences = ORACLE_CASES[case]()
+        for tags in sentences:
+            best, inside = viterbi_parse(tags, model), sentence_probability(tags, model)
+            if best is None:
+                assert inside == 0.0, (case, tags)
+            else:
+                assert math.exp(best[1]) <= inside + 1e-12, (case, tags)
+
+    @pytest.mark.parametrize("num, den", [(99, 100), (999, 1000)])
+    def test_unary_two_cycle_matches_closed_form(self, num, den):
+        p = num / den
+        want = (1 - p) / (1 - p * p)
+        assert sentence_probability(["a"], two_cycle_model(num, den)) == pytest.approx(want, rel=1e-12)
+
+    def test_cyclic_no_binary_case_has_unit_mass(self):
+        # S -> A and A -> S | a: I(A) = 2/3 + 1/3 I(A), so I(S) = I(A) = 1.
+        model, [tags] = ORACLE_CASES["no-binary"]()
+        assert sentence_probability(tags, model) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rules, tags, want", [
+        # A closed cycle that no span can score leaves S -> a alone.
+        (["S\ta", "S\tA", "A\tB", "B\tA"], ["a"], 0.5),
+        # X -> Y -> X leaks only through X's binary rule: I(X) = 1/2 + 1/2 I(X).
+        (["S\tX", "X\tY", "X\ta\ta", "Y\tX"], ["a", "a"], 1.0),
+    ])
+    def test_model_file_cycles(self, rules, tags, want):
+        text = "PLCG-MODEL\t1\tpcfg\tS\n" + "".join("RULE\t%s\t1\n" % r for r in rules)
+        assert sentence_probability(tags, model_io.loads(text)) == pytest.approx(want, rel=1e-12)
+
+
+    def test_symbol_no_chain_reaches_adds_nothing(self):
+        # No unary chain leads from S to B, yet the solve for R_U leaves
+        # rounding noise of about 3e-17 at (S, B); read as a tag, B must
+        # still give S nothing.
+        model = model_from({("S", ("A",)): 2, ("S", ("x",)): 7, ("A", ("A",)): 1,
+                            ("A", ("x",)): 8, ("B", ("A",)): 4})
+        assert viterbi_parse(["B"], model) is None
+        assert sentence_probability(["B"], model) == 0.0
+
+@pytest.mark.parametrize("parse", [viterbi_parse, sentence_probability])
+def test_chart_out_of_memory_names_the_length(parse, pp_model, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "full", no_memory)
+    with pytest.raises(ValueError, match="a 3-tag sentence"):
+        parse(["N", "V", "N"], pp_model)

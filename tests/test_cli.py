@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import plcg
+from plcg import chart
 from plcg.cli import main
 from plcg.corpus import generate_corpus
 from plcg.induction import induce_delta_model, induce_plcg
@@ -279,6 +280,20 @@ class TestParse:
             code, out, err = run(capsys, ["parse", str(broken), str(workspace / "tags.txt")])
             assert code == 2 and "malformed line" in err, replacement
             assert "Traceback" not in err and out == ""
+
+    def test_chart_out_of_memory_is_data_error(self, workspace, capsys, monkeypatch):
+        # A chart that does not fit in memory names the sentence's length
+        # and exits with the data code, not a numpy traceback.
+        model = self.induce(workspace, capsys, "pcfg")
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(chart.np, "full", no_memory)
+        code, out, err = run(capsys, ["parse", str(model), str(workspace / "tags.txt")])
+        n = len((workspace / "tags.txt").read_text().splitlines()[0].split())
+        assert code == 2 and "a %d-tag sentence" % n in err, err
+        assert "Traceback" not in err and out == ""
 
     def test_bad_beam_is_usage_error(self, workspace, capsys):
         model = self.induce(workspace, capsys)
