@@ -47,11 +47,11 @@ class CompiledPcfg:
     start_id: int
 
     @cached_property
-    def unary_closure(self) -> tuple[np.ndarray, np.ndarray]:
+    def unary_closure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The inside fill's unary closure, solved on first use: the symbols
         from which a unary chain reaches one with a binary rule or no unary
-        rule, on which I - P_U is invertible, and log R_U = log (I - P_U)^-1
-        from each of them to every symbol."""
+        rule, on which I - P_U is invertible, the symbols that one of them
+        reaches, and log R_U = log (I - P_U)^-1 from the first to the second."""
         n_syms = len(self.syms)
         step = np.zeros((n_syms, n_syms))
         step[self.un_lhs, self.un_child] = np.exp(self.un_lp)
@@ -67,7 +67,9 @@ class CompiledPcfg:
         rhs = step[syms]
         rhs[:, syms] = np.eye(len(syms))
         r_u = np.linalg.solve(np.eye(len(syms)) - step[np.ix_(syms, syms)], rhs)
-        return syms, np.log(r_u, out=np.full_like(r_u, NEG_INF), where=reach & (r_u > 0))
+        log_r_u = np.log(r_u, out=np.full_like(r_u, NEG_INF), where=reach & (r_u > 0))
+        cols = np.flatnonzero((log_r_u > NEG_INF).any(axis=0))
+        return syms, cols, log_r_u[:, cols]
 
 
 def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
@@ -118,25 +120,25 @@ def viterbi_parse(tags: Sequence[str], model: PcfgModel) -> Optional[tuple[Tree,
     n, n_syms = len(tags), len(g.syms)
     try:
         best = np.full((n + 1, n + 1, n_syms), NEG_INF)
-        back_op = np.full(best.shape, -1, dtype=np.int64)
-        back_split = np.full(best.shape, -1, dtype=np.int64)
+        back_op = np.full(best.shape, -1, dtype=np.int32)
         _kernels.viterbi_fill(
             n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
-            g.un_lhs, g.un_child, g.un_lp, best, back_op, back_split,
+            g.un_lhs, g.un_child, g.un_lp, best, back_op,
         )
     except MemoryError:
         raise _too_long(n) from None
     score = best[0, n, g.start_id]
     if score == NEG_INF:
         return None
-    tree = _extract(g, tags, back_op, back_split, 0, n, g.start_id)
+    tree = _extract(g, tags, back_op, best, 0, n, g.start_id)
     return debinarize_tree(tree), float(score)
 
 
-def _extract(g: CompiledPcfg, tags, back_op, back_split, i, j, sym) -> Tree:
+def _extract(g: CompiledPcfg, tags, back_op, best, i, j, sym) -> Tree:
     """The Viterbi tree of ``sym`` over ``i..j`` from the back-pointers,
     read from an explicit stack so a long sentence's tree does not meet the
-    recursion limit."""
+    recursion limit.  A binary cell's split is the first ``m`` whose score,
+    added in the fill's order, equals the cell's: the one the fill chose."""
     # Each entry's (op, label), parents before children and right children
     # before left ones; reversed, each node follows its children.
     order = []
@@ -151,11 +153,11 @@ def _extract(g: CompiledPcfg, tags, back_op, back_split, i, j, sym) -> Tree:
             order.append((op, rule.lhs))
             todo.append((i, j, g.sym_ids[rule.rhs[0]]))
         else:
-            rule = g.bin_rules[op]
-            m = back_split[i, j, sym]
+            rule, w, score = g.bin_rules[op], g.bin_lp[op], best[i, j, sym]
+            b, c = g.sym_ids[rule.rhs[0]], g.sym_ids[rule.rhs[1]]
+            m = next(m for m in range(i + 1, j) if w + best[i, m, b] + best[m, j, c] == score)
             order.append((op, rule.lhs))
-            todo.append((i, m, g.sym_ids[rule.rhs[0]]))
-            todo.append((m, j, g.sym_ids[rule.rhs[1]]))
+            todo += (i, m, b), (m, j, c)
     done: list[Tree] = []
     for op, label in reversed(order):
         if op == -1:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from .chart import viterbi_parse
-from .derivation import PROJECT, derivation_events, stack_delta
+from .derivation import derivation_events
 from .evalb import YieldMismatchError, score_corpus
 from .grammar_types import DeltaModel, Model, PcfgModel, PlcgModel
 from .induction import induce_delta_model, induce_pcfg, induce_plcg
@@ -36,8 +36,9 @@ from .treebank import (
 )
 
 # A training load reduces to tags and binarizes inside one preprocess_corpus
-# pass, but to_pos_tree and binarize_corpus stay importable here: lcbench's
-# tracer wraps each layer under the name cli has for it.
+# pass, and stats reads the delta model's counts, but derivation_events,
+# to_pos_tree and binarize_corpus stay importable here: lcbench's tracer
+# wraps each layer under the name cli has for it.
 
 NO_PARSE = "-NOPARSE-"
 DEFAULT_BEAM = 100
@@ -229,18 +230,15 @@ def cmd_stats(args) -> int:
     opts = PreprocessOptions(unary_mode=UnaryMode.FOLD_UP, pos_tags=True, binarize=True)
     trees = _load_training_trees(args.trees, opts)
 
-    # Counts of stack-size change per stack size, over composed projections.
-    # Projections that empty a goal as well (delta -2) are not tabulated.
+    # Counts of stack-size change per stack size, summed from the delta
+    # model.  Delta -2, an attach or a projection that empties a goal as
+    # well, is not tabulated, so each row counts projections only.
     table: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for t in trees:
-        for ev in derivation_events(t, compose=True):
-            kind, _, _, depth, _, _, _ = ev
-            if kind != PROJECT:
-                continue
-            delta = stack_delta(ev)
-            if delta == -2:
-                continue
-            table[depth][delta] += 1
+    deltas = induce_delta_model(trees).delta_counts if trees else {}
+    for (depth, _, _), row in deltas.items():
+        for delta, count in row.items():
+            if delta != -2:
+                table[depth][delta] += count
 
     print("%-6s %8s %8s %8s %8s" % ("size", "total", "-1", "0", "+1"))
     for size in sorted(table):

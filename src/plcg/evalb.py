@@ -10,6 +10,7 @@ are applied.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -60,13 +61,19 @@ def brackets(t: Tree, include_unary: bool) -> Counter:
 
 
 def _crossing(test_spans: set[tuple[int, int]], gold_spans: set[tuple[int, int]]) -> int:
-    count = 0
-    for i, j in test_spans:
-        for a, b in gold_spans:
-            if a < i < b < j or i < a < j < b:
-                count += 1
-                break
-    return count
+    """How many test spans cross some gold span.  Per position p,
+    ``min_end[p]`` and ``max_start[p]`` are the least end and the greatest
+    start of the gold spans that hold p strictly inside; (i, j) crosses a
+    gold span that holds i and ends before j, or holds j and starts after i."""
+    size = 1 + max(itertools.chain(*test_spans, *gold_spans), default=0)
+    min_end, max_start = [size] * size, [-1] * size
+    for a, b in gold_spans:
+        for p in range(a + 1, b):
+            if b < min_end[p]:
+                min_end[p] = b
+            if a > max_start[p]:
+                max_start[p] = a
+    return sum(min_end[i] < j or max_start[j] > i for i, j in test_spans)
 
 
 def _unlabelled(spans: Counter) -> Counter:

@@ -4,7 +4,8 @@
 ``A@X1 -> X2 ... Xn``, recursively, so n-ary rules sharing mother and left
 corner collapse to a single top rule.  The ``@`` separator is reserved,
 which makes debinarization a pure label test.  Trees are binarized in
-``treebank``, whose training load binarizes each node as it reads it.
+``treebank``, whose training load binarizes each node as it reads it; a
+rule is binarized as a tree of depth one.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from .treebank import (
     SEPARATOR,
     ReservedSymbolError,
     Tree,
-    _check_label,
     binarize_corpus,
     binarize_tree,
+    iter_local_trees,
     post_order,
 )
 
@@ -43,19 +44,13 @@ def debinarize_tree(t: Tree) -> Tree:
 
 
 def binarize_rule(rule: Rule) -> list[Rule]:
+    """The rules of ``rule``'s tail chain: the local trees, top-down, of
+    ``binarize_tree`` over the rule as a tree of depth one.  A label holding
+    the separator raises ReservedSymbolError, for the first such label."""
     if len(rule.rhs) <= 2:
         return [rule]
-    _check_label(rule.lhs)
-    for sym in rule.rhs:
-        _check_label(sym)
-    out = []
-    lhs, rhs = rule.lhs, list(rule.rhs)
-    while len(rhs) > 2:
-        tail = lhs + SEPARATOR + rhs[0]
-        out.append(Rule(lhs, (rhs[0], tail)))
-        lhs, rhs = tail, rhs[1:]
-    out.append(Rule(lhs, tuple(rhs)))
-    return out
+    chain = binarize_tree(Tree(rule.lhs, tuple(map(Tree, rule.rhs))))
+    return [Rule(lhs, rhs) for lhs, rhs in iter_local_trees(chain)]
 
 
 def binarize_pcfg(model: PcfgModel) -> PcfgModel:

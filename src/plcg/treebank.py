@@ -252,14 +252,6 @@ class ReservedSymbolError(ValueError):
     pass
 
 
-def _check_label(label: str) -> str:
-    if SEPARATOR in label:
-        raise ReservedSymbolError(
-            "label %r contains the reserved binarization separator %r" % (label, SEPARATOR)
-        )
-    return label
-
-
 class _Rejected(Exception):
     """A node that only the stages run one at a time can settle."""
 
@@ -278,8 +270,8 @@ def _builder(opts: PreprocessOptions):
     fold_down) when it has one child left and that child is not a word, so
     one bottom-up pass reaches the fixpoint; a top ``ROOT`` node does not
     fold.  What only the stages one at a time can settle (words beside
-    phrases under tag reduction; under binarization, a separator in a label
-    or a fold_down onto a binarized node) raises _Rejected."""
+    phrases under tag reduction, or a fold_down onto a binarized node) raises
+    _Rejected; ``preprocess_corpus`` leaves the separator to the stages."""
     strip_tags, strip_empties = opts.strip_function_tags, opts.strip_empties
     mode = UnaryMode(opts.unary_mode)
     fold, up = mode is not UnaryMode.KEEP, mode is UnaryMode.FOLD_UP
@@ -291,8 +283,6 @@ def _builder(opts: PreprocessOptions):
             label = label.partition("-")[0].partition("=")[0]
         if strip_empties and label == EMPTY_MARKER:
             return None
-        if binarize and (SEPARATOR in label or not tags and SEPARATOR in word):
-            raise _Rejected
         if tags:
             return Tree(label)
         if node is None:
@@ -302,8 +292,6 @@ def _builder(opts: PreprocessOptions):
     def close(label, kids, words, node, top):
         if strip_tags and label[0] not in FUNCTION_DELIMITERS:
             label = label.partition("-")[0].partition("=")[0]
-        if binarize and SEPARATOR in label:
-            raise _Rejected
         if not all(kids):  # a kid was pruned
             kids = [k for k in kids if k is not None]
             if not kids:
@@ -322,8 +310,6 @@ def _builder(opts: PreprocessOptions):
             if tags and len(kids) == 1:  # a preterminal once its empties are pruned
                 return Tree(label)
             kids = [Tree(k) if k.__class__ is str else k for k in kids]
-            if binarize and any(SEPARATOR in k.label for k in kids):
-                raise _Rejected
         if binarize and len(kids) > 2:
             return _tail_chain(label, kids)
         if (not tags and node is not None and label == node.label
@@ -335,8 +321,6 @@ def _builder(opts: PreprocessOptions):
         if v.__class__ is str:  # a tree that is one word
             if opts.add_root and v != ROOT_LABEL:
                 return preterminal(ROOT_LABEL, v, None)
-            if binarize and SEPARATOR in v:
-                raise _Rejected
             return Tree(v)
         return Tree(ROOT_LABEL, (v,)) if opts.add_root and v.label != ROOT_LABEL else v
 
@@ -409,27 +393,31 @@ def preprocess_corpus(
     ``source`` is trees, or bracketed text or a file, which is then read and
     put through ``opts`` in one pass: each node is built once, as its
     bracket closes, and with ``opts.pos_tags`` a word under a preterminal is
-    never built.  A read error comes first; then a tree that ``to_pos_tree``
-    or ``binarize_tree`` refuses raises its error, which carries
-    ``dropped``."""
-    steps = _builder(opts)
+    never built.  Binarizing trees, or text that holds the reserved
+    separator, runs the stages one at a time instead, so that
+    ``binarize_tree`` alone judges the separator.  A read error comes first;
+    then a tree that ``to_pos_tree`` or ``binarize_tree`` refuses raises its
+    error, which carries ``dropped``."""
     text = source if isinstance(source, str) else source.read() if hasattr(source, "read") else None
-    try:
-        trees = list(source) if text is None else None
-        out = [_rebuild(t, steps) for t in trees] if text is None else _read(text, steps)
-        kept = [steps[2](r) for r in out if r is not None]
-    except _Rejected:
-        # Run the stages one at a time over all the trees, so that the error
-        # is the first stage's own, for the first tree it refuses.
-        trees = trees if text is None else read_trees(text)
-        out, dropped = preprocess_corpus(trees, replace(opts, pos_tags=False, binarize=False))
+    trees = list(source) if text is None else None
+    if not opts.binarize or (text is not None and SEPARATOR not in text):
+        steps = _builder(opts)
         try:
-            out = [to_pos_tree(t) for t in out] if opts.pos_tags else out
-            return [binarize_tree(t) for t in out] if opts.binarize else out, dropped
-        except ValueError as exc:
-            exc.dropped = dropped
-            raise
-    return kept, len(out) - len(kept)
+            out = [_rebuild(t, steps) for t in trees] if text is None else _read(text, steps)
+            kept = [steps[2](r) for r in out if r is not None]
+            return kept, len(out) - len(kept)
+        except _Rejected:
+            pass
+    # Run the stages one at a time over all the trees, so that the error is
+    # the first stage's own, for the first tree it refuses.
+    trees = trees if text is None else read_trees(text)
+    out, dropped = preprocess_corpus(trees, replace(opts, pos_tags=False, binarize=False))
+    try:
+        out = [to_pos_tree(t) for t in out] if opts.pos_tags else out
+        return [binarize_tree(t) for t in out] if opts.binarize else out, dropped
+    except ValueError as exc:
+        exc.dropped = dropped
+        raise
 
 
 def _tail_chain(label: str, kids: list[Tree]) -> Tree:
@@ -452,7 +440,9 @@ def binarize_tree(t: Tree) -> Tree:
     done: list[Tree] = []
     for node in post_order(t):
         if SEPARATOR in node.label:
-            _check_label(first_node(t, lambda nd: SEPARATOR in nd.label).label)
+            bad = first_node(t, lambda nd: SEPARATOR in nd.label).label
+            raise ReservedSymbolError("label %r contains the reserved binarization separator %r"
+                                      % (bad, SEPARATOR))
         n = len(node.children)
         if not n:
             done.append(node)

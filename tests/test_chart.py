@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -97,15 +98,19 @@ class TestViterbi:
 
 
 def test_tree_extraction_does_not_recurse():
-    # Back-pointers of the right-branching parse of 3,000 a's under
-    # S -> a S | a; the tree is as deep as the sentence is long.
+    # Back-pointers and scores of the right-branching parse of 3,000 a's
+    # under S -> a S | a; the tree is as deep as the sentence is long.
     g = compile_pcfg(model_from({("S", ("a", "S")): 1, ("S", ("a",)): 1}))
     n, s_id, a_id = 3000, g.sym_ids["S"], g.sym_ids["a"]
+    r, u = g.bin_rules.index(Rule("S", ("a", "S"))), g.un_rules.index(Rule("S", ("a",)))
     back_op = {(i, i + 1, a_id): -1 for i in range(n)}
-    back_op.update({(i, n, s_id): g.bin_rules.index(Rule("S", ("a", "S"))) for i in range(n - 1)})
-    back_op[(n - 1, n, s_id)] = -2 - g.un_rules.index(Rule("S", ("a",)))
-    back_split = {(i, n, s_id): i + 1 for i in range(n - 1)}
-    tree = _extract(g, ["a"] * n, back_op, back_split, 0, n, s_id)
+    back_op.update({(i, n, s_id): r for i in range(n - 1)})
+    back_op[(n - 1, n, s_id)] = -2 - u
+    best = {(i, i + 1, a_id): 0.0 for i in range(n)}
+    best[(n - 1, n, s_id)] = g.un_lp[u]
+    for i in range(n - 2, -1, -1):
+        best[(i, n, s_id)] = g.bin_lp[r] + best[(i, i + 1, a_id)] + best[(i + 1, n, s_id)]
+    tree = _extract(g, ["a"] * n, back_op, best, 0, n, s_id)
     assert tree == chain(n - 1, right=True)
 
 
@@ -228,14 +233,35 @@ def scalar_viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
 
 
 def fill_tables(fill, tags, g):
+    """The kernel's (best, back_op), or with ``scalar_viterbi_fill`` the
+    scalar loop's (best, back_op, back_split)."""
     n, n_syms = len(tags), len(g.syms)
     best = np.full((n + 1, n + 1, n_syms), NEG_INF)
-    back_op = np.full(best.shape, -1, dtype=np.int64)
-    back_split = np.full(best.shape, -1, dtype=np.int64)
+    tables = [best, np.full(best.shape, -1, dtype=np.int32)]
+    if fill is scalar_viterbi_fill:
+        tables.append(np.full(best.shape, -1, dtype=np.int64))
     terms = np.array([g.sym_ids[x] for x in tags], dtype=np.int64)
     fill(n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
-         g.un_lhs, g.un_child, g.un_lp, best, back_op, back_split)
-    return best, back_op, back_split
+         g.un_lhs, g.un_child, g.un_lp, *tables)
+    return tables
+
+
+def scalar_subtrees(g, tags, back_op, back_split):
+    """The subtree of a cell (i, j, sym) from the scalar loop's back-pointers
+    and splits, each cell's built once."""
+    @functools.cache
+    def subtree(i, j, sym):
+        op = back_op[i, j, sym]
+        if op == -1:
+            return Tree(tags[i])
+        if op <= -2:
+            rule = g.un_rules[-2 - op]
+            return Tree(rule.lhs, (subtree(i, j, g.sym_ids[rule.rhs[0]]),))
+        rule, m = g.bin_rules[op], back_split[i, j, sym]
+        b, c = (g.sym_ids[x] for x in rule.rhs)
+        return Tree(rule.lhs, (subtree(i, m, b), subtree(m, j, c)))
+
+    return subtree
 
 
 def tie_model():
@@ -301,10 +327,15 @@ class TestFillOracle:
         model, sentences = ORACLE_CASES[case]()
         g = compile_pcfg(model)
         for tags in sentences:
-            got = fill_tables(_kernels.viterbi_fill, tags, g)
-            want = fill_tables(scalar_viterbi_fill, tags, g)
-            for name, a, b in zip(("best", "back_op", "back_split"), got, want):
-                assert np.array_equal(a, b), (case, tags, name)
+            best, back_op = fill_tables(_kernels.viterbi_fill, tags, g)
+            want_best, want_op, want_split = fill_tables(scalar_viterbi_fill, tags, g)
+            assert np.array_equal(best, want_best), (case, tags, "best")
+            assert np.array_equal(back_op, want_op), (case, tags, "back_op")
+            # Each binary cell's subtree, its splits read from the scores.
+            want_tree = scalar_subtrees(g, tags, want_op, want_split)
+            for cell in zip(*np.nonzero(back_op >= 0)):
+                cell = tuple(map(int, cell))
+                assert _extract(g, tags, back_op, best, *cell) == want_tree(*cell), (case, tags, cell)
 
     def test_cases_have_the_shapes_they_cover(self):
         no_unary = compile_pcfg(ORACLE_CASES["no-unary"]()[0])

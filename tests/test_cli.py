@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import plcg
 from plcg import chart
 from plcg.cli import main
+from plcg.derivation import PROJECT, derivation_events, stack_delta
 from plcg.corpus import generate_corpus
 from plcg.induction import induce_delta_model, induce_plcg
 from plcg.lc_parser import beam_parse
@@ -329,7 +331,48 @@ class TestEvalCommand:
         assert code == 2
 
 
+def stats_rows(table):
+    """The rows ``plcg stats`` prints for a {size: {delta: count}} table."""
+    rows = []
+    for size in sorted(table):
+        total = sum(table[size].values())
+        cells = tuple(100.0 * table[size].get(d, 0) / total for d in (-1, 0, 1))
+        rows.append("%-6d %8d %7.1f%% %7.1f%% %7.1f%%" % (size, total, *cells))
+    return rows
+
+
 class TestStats:
+    @pytest.mark.parametrize("seed", [1, 4, 11])
+    def test_rows_are_the_delta_counts_per_depth(self, tmp_path, capsys, seed):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(write_trees(generate_corpus(150, seed=seed, raw=True)))
+        opts = PreprocessOptions(unary_mode="fold_up", pos_tags=True, binarize=True)
+        trees, _ = preprocess_corpus(corpus.read_text(), opts)
+        # The delta model's counts, delta -2 left out, summed per depth ...
+        table = defaultdict(lambda: defaultdict(int))
+        for (depth, _, _), row in induce_delta_model(trees).delta_counts.items():
+            for delta, count in row.items():
+                if delta != -2:
+                    table[depth][delta] += count
+        # ... are the composed projections' deltas, counted walk by walk.
+        walked = defaultdict(lambda: defaultdict(int))
+        for tree in trees:
+            for ev in derivation_events(tree, compose=True):
+                if ev[0] == PROJECT and stack_delta(ev) != -2:
+                    walked[ev[3]][stack_delta(ev)] += 1
+        assert table == walked and table
+        code, out, _ = run(capsys, ["stats", str(corpus)])
+        assert code == 0
+        assert out.splitlines()[1:] == stats_rows(table)
+
+    def test_no_usable_tree_prints_the_header_only(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("(S (-NONE- *))\n")
+        code, out, err = run(capsys, ["stats", str(empty)])
+        assert code == 0
+        assert out.splitlines() == ["%-6s %8s %8s %8s %8s" % ("size", "total", "-1", "0", "+1")]
+        assert "(no projection events)" in err
+
     def test_rows_sum_to_hundred(self, workspace, capsys):
         code, out, _ = run(capsys, ["stats", str(workspace / "corpus.txt")])
         assert code == 0

@@ -8,6 +8,7 @@ from plcg.corpus import generate_corpus, random_tree_over_yield
 from plcg.evalb import (
     SentenceScore,
     YieldMismatchError,
+    _crossing,
     aggregate,
     brackets,
     score,
@@ -176,6 +177,12 @@ def _reference_brackets(tree, include_unary):
     return Counter((i, j, lab) for (i, j), (_, lab) in outermost.items())
 
 
+def all_pairs_crossing(test_spans, gold_spans):
+    """The crossing count by testing every test span against every gold span."""
+    return sum(any(a < i < b < j or i < a < j < b for a, b in gold_spans)
+               for i, j in test_spans)
+
+
 def _reference_score(gold, test, labelled, include_unary):
     if _reference_leaves(gold) != _reference_leaves(test):
         raise YieldMismatchError()
@@ -186,8 +193,7 @@ def _reference_score(gold, test, labelled, include_unary):
         tb = Counter((i, j) for i, j, _ in tb.elements())
     gold_spans = {(i, j) for i, j, _ in _reference_brackets(gold, False)}
     test_spans = {(i, j) for i, j, _ in _reference_brackets(test, False)}
-    crossing = sum(any(a < i < b < j or i < a < j < b for a, b in gold_spans)
-                   for i, j in test_spans)
+    crossing = all_pairs_crossing(test_spans, gold_spans)
     return sum((gb & tb).values()), sum(gb.values()), sum(tb.values()), crossing
 
 
@@ -237,3 +243,17 @@ def test_score_corpus_matches_reference(rng):
 def test_score_pair_checks_yields():
     with pytest.raises(YieldMismatchError):
         score_pair(t("(S a b)"), t("(S a c)"))
+
+
+def test_crossing_matches_all_pairs_on_random_span_sets(rng):
+    def spans(n):
+        return {tuple(sorted(rng.sample(range(n + 1), 2))) for _ in range(rng.randint(0, 12))}
+
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        test_spans, gold_spans = spans(n), spans(rng.randint(1, 14))
+        for a, b in ((test_spans, gold_spans), (test_spans, set()), (set(), gold_spans)):
+            assert _crossing(a, b) == all_pairs_crossing(a, b), (a, b)
+    # A gold tree whose only bracket is the ROOT wrapper has no spans.
+    assert _crossing({(0, 2), (1, 3), (2, 5)}, set()) == 0
+    assert _crossing(set(), set()) == 0

@@ -3,6 +3,7 @@ import pytest
 from conftest import t
 from plcg.corpus import random_tree
 from plcg.grammar_types import Rule
+from plcg.treebank import Tree
 from plcg.induction import induce_pcfg, pcfg_tree_exact_prob, induce_plcg, plcg_tree_log_prob
 from plcg.transforms import (
     ReservedSymbolError,
@@ -60,6 +61,23 @@ class TestRuleBinarization:
             Rule("A@w", ("x", "A@w@x")),
             Rule("A@w@x", ("y", "z")),
         ]
+
+    def test_rules_are_the_local_trees_of_the_binarized_tree(self, rng):
+        for _ in range(300):
+            rhs = tuple(rng.choice("abcXYZ") for _ in range(rng.randint(1, 7)))
+            rule = Rule(rng.choice("SXY"), rhs)
+            tree = binarize_tree(Tree(rule.lhs, tuple(Tree(x) for x in rhs)))
+            assert binarize_rule(rule) == _rules(tree), rule
+
+    @pytest.mark.parametrize("lhs, rhs, bad", [
+        ("A@B", ("x", "y", "z"), "A@B"),
+        ("A", ("x@1", "y", "z@2"), "x@1"),
+        ("A", ("x", "y", "z@2"), "z@2"),
+        ("A@B", ("x", "y@1", "z"), "A@B"),
+    ])
+    def test_reserved_separator_rejected_for_the_first_label(self, lhs, rhs, bad):
+        with pytest.raises(ReservedSymbolError, match="label '%s' " % bad):
+            binarize_rule(Rule(lhs, rhs))
 
     def test_is_binarized_symbol(self):
         assert is_binarized_symbol("A@w")

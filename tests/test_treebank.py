@@ -293,6 +293,22 @@ class TestOracles:
             if isinstance(want[0], list):
                 assert preprocess_corpus(read_trees(text), full) == want
 
+    @pytest.mark.parametrize("text", [
+        # A word, which the reduction to tags drops.
+        "(S (NP (DT a@b)) (VP (VB c) (NP (DT d) (NN e) (NN f))))",
+        # A function tag, which is stripped.
+        "(S (NP-A@B (DT a)) (VP (VB c) (NP (DT d) (NN e) (NN f))))",
+        # A node over an empty element only, which is pruned.
+        "(S (X@Y (-NONE- *)) (NP (DT a)) (VP (VB c) (NP (DT d) (NN e) (NN f))))",
+    ])
+    def test_load_of_a_separator_that_preprocessing_removes(self, text):
+        for mode in UnaryMode:
+            opts = PreprocessOptions(unary_mode=mode)
+            want = staged_load(text, opts, True)
+            assert one_pass_load(text, opts, True) == want, mode
+            # The text without the @ takes the one pass and loads the same.
+            assert one_pass_load(text.replace("@", "x"), opts, True) == want, mode
+
     def test_one_pass_load_reports_the_first_fault_of_the_first_pass(self):
         cases = [
             # A mixed tree before a read fault: the read error.
