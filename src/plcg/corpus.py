@@ -22,74 +22,48 @@ _WORDS = {
 }
 
 
-def _pre(rng: random.Random, tag: str) -> Tree:
-    return Tree(tag, (Tree(rng.choice(_WORDS[tag])),))
+# Each row names a phrase label and its weighted child lists.  A child is a
+# tag (drawing its word from _WORDS), a fixed (label, children) node, or the
+# name of another row.  Subject and object NPs are separate rows: two nouns
+# nest in subject position ([[store] owner]) and stay flat in object position.
+_GRAMMAR = {
+    "SUBJ": ("NP", [(40, ["PRP"]), (20, ["NNP"]), (15, ["DT", "NN"]),
+                    (25, [("NP", ["NN"]), ("NP", ["NN"])])]),
+    "OBJ": ("NP", [(40, ["DT", "NN"]), (20, ["NN"]), (10, ["PRP"]), (30, ["NN", "NN"])]),
+    "VP": ("VP", [(55, ["VB", "OBJ"]), (20, ["VB"]), (25, ["VB", "OBJ", ("PP", ["IN", "OBJ"])])]),
+}
 
 
 def _weighted(rng: random.Random, options):
-    total = sum(w for w, _ in options)
-    x = rng.random() * total
-    for w, make in options:
+    x = rng.random() * sum(w for w, _ in options)
+    for w, children in options:
         x -= w
         if x <= 0:
-            return make()
-    return options[-1][1]()
+            return children
+    return options[-1][1]
 
 
-def _np(rng: random.Random, subject: bool) -> Tree:
-    def pronoun():
-        return Tree("NP", (_pre(rng, "PRP"),))
-
-    def name():
-        return Tree("NP", (_pre(rng, "NNP"),))
-
-    def det_noun():
-        return Tree("NP", (_pre(rng, "DT"), _pre(rng, "NN")))
-
-    def bare_noun():
-        return Tree("NP", (_pre(rng, "NN"),))
-
-    def nested_nouns():  # subject style: [[store] owner]
-        return Tree("NP", (Tree("NP", (_pre(rng, "NN"),)), Tree("NP", (_pre(rng, "NN"),))))
-
-    def flat_nouns():  # object style: flat compound
-        return Tree("NP", (_pre(rng, "NN"), _pre(rng, "NN")))
-
-    if subject:
-        options = [(40, pronoun), (20, name), (15, det_noun), (25, nested_nouns)]
+def _expand(rng: random.Random, symbol) -> Tree:
+    """Draw one tree for ``symbol``: one weighted choice for a row, then its
+    children left to right."""
+    if isinstance(symbol, tuple):
+        label, children = symbol
+    elif symbol in _GRAMMAR:
+        label, options = _GRAMMAR[symbol]
+        children = _weighted(rng, options)
     else:
-        options = [(40, det_noun), (20, bare_noun), (10, pronoun), (30, flat_nouns)]
-    return _weighted(rng, options)
-
-
-def _pp(rng: random.Random) -> Tree:
-    return Tree("PP", (_pre(rng, "IN"), _np(rng, subject=False)))
-
-
-def _vp(rng: random.Random) -> Tree:
-    def transitive():
-        return Tree("VP", (_pre(rng, "VB"), _np(rng, subject=False)))
-
-    def intransitive():
-        return Tree("VP", (_pre(rng, "VB"),))
-
-    def with_pp():
-        return Tree("VP", (_pre(rng, "VB"), _np(rng, subject=False), _pp(rng)))
-
-    return _weighted(rng, [(55, transitive), (20, intransitive), (25, with_pp)])
+        return Tree(symbol, (Tree(rng.choice(_WORDS[symbol])),))
+    return Tree(label, tuple(_expand(rng, child) for child in children))
 
 
 def generate_tree(rng: random.Random, raw: bool = False) -> Tree:
-    if rng.random() < 0.12:
-        tree = Tree("S", (_vp(rng),))  # imperative: unary S -> VP
-        if raw:
-            tree = Tree("S", (Tree("NP-SBJ", (Tree("-NONE-", (Tree("*"),)),)), tree.children[0]))
-    else:
-        subj = _np(rng, subject=True)
-        if raw:
-            subj = Tree(subj.label + "-SBJ", subj.children)
-        tree = Tree("S", (subj, _vp(rng)))
-    return tree
+    if rng.random() < 0.12:  # imperative: unary S -> VP
+        vp = _expand(rng, "VP")
+        return Tree("S", (Tree("NP-SBJ", (Tree("-NONE-", (Tree("*"),)),)), vp) if raw else (vp,))
+    subj = _expand(rng, "SUBJ")
+    if raw:
+        subj = Tree("NP-SBJ", subj.children)
+    return Tree("S", (subj, _expand(rng, "VP")))
 
 
 def generate_corpus(size: int, seed: int, raw: bool = False) -> list[Tree]:

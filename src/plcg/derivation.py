@@ -66,7 +66,10 @@ def replay(moves: Iterable[tuple], start: str) -> Tree:
     and compose flag are read, so
     ``replay(derivation_events(t, compose), t.label) == t``."""
     holder = _Node("")
-    # Entries: ("s", category, parent node) or ("f", node).
+    # Entries: ("s", category, parent node) or ("f", node).  A found entry
+    # goes onto a sought one (a shift) or in place of the found entry it
+    # projects from, so each sits directly on a sought entry: the goal that
+    # a composed projection or an attach fills.
     stack: list[tuple] = [("s", start, holder)]
     i = -1
     for i, (kind, _, _, _, label, rhs, compose) in enumerate(moves):
@@ -84,8 +87,6 @@ def replay(moves: Iterable[tuple], start: str) -> Tree:
             node = _Node(label)
             node.children.append(corner)
             if compose:
-                if not stack or stack[-1][0] != "s":
-                    raise ReplayError(i, "composed projection without a goal")
                 _, cat, parent = stack.pop()
                 if cat != label:
                     raise ReplayError(i, "%s does not fill goal %s" % (label, cat))
@@ -95,7 +96,7 @@ def replay(moves: Iterable[tuple], start: str) -> Tree:
             for sym in reversed(rhs[1:]):
                 stack.append(("s", sym, node))
         elif kind == ATTACH:
-            if len(stack) < 2 or stack[-1][0] != "f" or stack[-2][0] != "s":
+            if not stack or stack[-1][0] != "f":
                 raise ReplayError(i, "attach needs a found item over a goal")
             found = stack.pop()[1]
             _, cat, parent = stack.pop()
@@ -106,8 +107,7 @@ def replay(moves: Iterable[tuple], start: str) -> Tree:
             raise ReplayError(i, "unknown move kind %r" % kind)
     if stack:
         raise ReplayError(i + 1, "incomplete derivation: %d entries left" % len(stack))
-    if len(holder.children) != 1:
-        raise ReplayError(i + 1, "derivation did not build exactly one tree")
+    # The holder's one sought entry is gone, so it was filled exactly once.
     return holder.children[0].freeze()
 
 

@@ -17,8 +17,10 @@ machine: its delta is the move's stack change (-2 for <attach>, whose lc is
 its gc; len(rhs) - 1 for a projection, len(rhs) - 3 for a composed one,
 whose lhs is its gc), and its rule has at most two symbols.  The start
 symbol is the <lhs> of some RULE (pcfg) or the <gc> of some SHIFT (plcg,
-delta), since every parse begins there.  Records are emitted sorted: saving
-is deterministic and round-trips byte-exactly.
+delta), since every parse begins there.  A file holds only its own kind's
+records, SHIFT, ATT and DELTA records have exactly the fields shown, and no
+record repeats the key (the fields before its counts) of another.  Records are
+emitted sorted: saving is deterministic and round-trips byte-exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .grammar_types import ATTACH_RULE, DeltaModel, Model, PcfgModel, PlcgModel,
 
 FORMAT_VERSION = 1
 _HEADER = "PLCG-MODEL"
-_KINDS = {"pcfg": PcfgModel, "plcg": PlcgModel, "delta": DeltaModel}
+_RECORDS = {"pcfg": {"RULE"}, "plcg": {"SHIFT", "ATT", "PROJ"},
+            "delta": {"SHIFT", "ATT", "PROJ", "DELTA", "DPROJ"}}
+_FIELDS = {"SHIFT": 4, "ATT": 5, "DELTA": 6}  # the records of fixed length
 
 
 class ModelFormatError(ValueError):
@@ -113,7 +117,7 @@ def loads(text: str) -> Model:
     if not head[1].isdecimal() or int(head[1]) != FORMAT_VERSION:
         raise ModelFormatError("unsupported format version %s" % head[1])
     kind, start = head[2], head[3]
-    if kind not in _KINDS:
+    if kind not in _RECORDS:
         raise ModelFormatError("unknown model kind %r" % kind)
 
     rule_counts: dict[Rule, int] = {}
@@ -129,26 +133,28 @@ def loads(text: str) -> Model:
         fields = line.split("\t")
         tag = fields[0]
         try:
+            if tag not in _RECORDS[kind]:
+                raise ValueError("no %r record in a %s model" % (tag, kind))
+            if len(fields) != _FIELDS.get(tag, len(fields)):
+                raise ValueError("%d fields, not %d" % (len(fields), _FIELDS[tag]))
+            # Each record stores one value under one key of one table.
             if tag == "RULE":
-                rule = Rule(fields[1], tuple(fields[2:-1]))
-                rule_counts[rule] = _count(fields[-1])
+                table, key = rule_counts, Rule(fields[1], tuple(fields[2:-1]))
             elif tag == "SHIFT":
-                gc, lc, c = fields[1], fields[2], _count(fields[3])
-                shift.setdefault(gc, {})[lc] = c
+                table, key = shift.setdefault(fields[1], {}), fields[2]
             elif tag == "ATT":
                 attach, total = int(fields[3]), int(fields[4])
                 if not 0 <= attach <= total or total < 1 or attach and fields[1] != fields[2]:
                     raise ValueError("attach count %d of %d at %s under goal %s"
                                      % (attach, total, fields[1], fields[2]))
-                att[(fields[1], fields[2])] = (attach, total)
+                table, key = att, (fields[1], fields[2])
             elif tag == "PROJ":
                 gc, lc = fields[1], fields[2]
-                rule = _projection(lc, fields[3], fields[4:-1])
-                proj.setdefault((lc, gc), {})[rule] = _count(fields[-1])
+                table, key = proj.setdefault((lc, gc), {}), _projection(lc, fields[3], fields[4:-1])
             elif tag == "DELTA":
                 depth, lc, gc = int(fields[1]), fields[2], fields[3]
-                dcounts.setdefault((depth, lc, gc), {})[int(fields[4])] = _count(fields[5])
-            elif tag == "DPROJ":
+                table, key = dcounts.setdefault((depth, lc, gc), {}), int(fields[4])
+            else:  # DPROJ
                 depth, delta, lc, gc = int(fields[1]), int(fields[2]), fields[3], fields[4]
                 body = fields[5:-1]
                 if body == [ATTACH_RULE.lhs]:
@@ -158,12 +164,11 @@ def loads(text: str) -> Model:
                     ok = n <= 2 and (delta == n - 1 or delta == n - 3 and body[0] == gc)
                 if not ok:
                     raise ValueError("%s under goal %s is no move with delta %d" % (rule, gc, delta))
-                drules.setdefault((lc, gc, depth, delta), {})[rule] = _count(fields[-1])
-            else:
-                raise ModelFormatError("unknown record kind %r" % tag)
+                table, key = drules.setdefault((lc, gc, depth, delta), {}), rule
+            if key in table:
+                raise ValueError("repeats the key of an earlier record")
+            table[key] = (attach, total) if tag == "ATT" else _count(fields[-1])
         except (IndexError, ValueError) as exc:
-            if isinstance(exc, ModelFormatError):
-                raise
             raise ModelFormatError("malformed line %d: %r (%s)" % (lineno, line, exc)) from exc
 
     if kind == "pcfg" and all(rule.lhs != start for rule in rule_counts):

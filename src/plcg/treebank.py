@@ -253,7 +253,8 @@ class ReservedSymbolError(ValueError):
 
 
 class _Rejected(Exception):
-    """A node that only the stages run one at a time can settle."""
+    """Words beside phrases under tag reduction: the stages, run one at a
+    time, give the error."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,9 +270,10 @@ def _builder(opts: PreprocessOptions):
     A node folds (hoists its child for fold_up, takes its grandchildren for
     fold_down) when it has one child left and that child is not a word, so
     one bottom-up pass reaches the fixpoint; a top ``ROOT`` node does not
-    fold.  What only the stages one at a time can settle (words beside
-    phrases under tag reduction, or a fold_down onto a binarized node) raises
-    _Rejected; ``preprocess_corpus`` leaves the separator to the stages."""
+    fold.  A fold_down takes a binarized child's tail chain apart and
+    binarizes the grandchildren again under the new label.  Words beside
+    phrases under tag reduction raise _Rejected, for the stages to report;
+    ``preprocess_corpus`` leaves the separator to the stages."""
     strip_tags, strip_empties = opts.strip_function_tags, opts.strip_empties
     mode = UnaryMode(opts.unary_mode)
     fold, up = mode is not UnaryMode.KEEP, mode is UnaryMode.FOLD_UP
@@ -298,12 +300,11 @@ def _builder(opts: PreprocessOptions):
                 return None
             node = None
         if fold and not words and len(kids) == 1 and not (top and label == ROOT_LABEL):
-            k = kids[0]
             if up:
-                return k
-            if binarize and len(k.children) == 2 and SEPARATOR in k.children[1].label:
-                raise _Rejected  # k is binarized: its tail labels would change too
-            return Tree(label, k.children)
+                return kids[0]
+            kids = list(kids[0].children)  # a binarized kid's tail chain comes apart
+            while binarize and kids and SEPARATOR in kids[-1].label:
+                kids[-1:] = kids[-1].children
         if words:
             if tags and words < len(kids):
                 raise _Rejected

@@ -299,10 +299,14 @@ class TestParse:
 
     def test_bad_beam_is_usage_error(self, workspace, capsys):
         model = self.induce(workspace, capsys)
-        code, _, _ = run(
-            capsys, ["parse", str(model), str(workspace / "tags.txt"), "--beam", "0"]
-        )
-        assert code == 1
+        tags, gold, out = (str(workspace / name) for name in ("tags.txt", "gold.txt", "out"))
+        for argv in (["parse", str(model), tags, "--beam", "0"],
+                     ["parse", str(model), tags, "--n-best", "0"],
+                     ["gen-corpus", out, "--size", "0"],
+                     ["eval", gold, gold, "--max-length", "0"],
+                     ["induce", gold, out, "--top-rules", "-1"]):
+            code, _, err = run(capsys, argv)
+            assert code == 1 and "%s must be >= " % argv[-2] in err, argv
 
 
 class TestEvalCommand:

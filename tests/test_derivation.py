@@ -179,6 +179,21 @@ class TestReplay:
             replay([], "S")
         assert exc.value.index == 0
 
+    @pytest.mark.parametrize("moves, index, message", [
+        ([(PROJECT, None, "S", None, "S", ("a",), False)], 0, "projection without a left corner"),
+        ([(SHIFT, None, "S", None, "a", None, False),
+          (PROJECT, None, "S", None, "S", ("b", "a"), False)], 1, "left corner a does not start"),
+        ([(SHIFT, None, "S", None, "a", None, False),
+          (PROJECT, None, "S", None, "NP", ("a",), True)], 1, "NP does not fill goal S"),
+        ([(ATTACH, None, "S", None, None, None, False)], 0, "found item over a goal"),
+        ([("swap", None, "S", None, None, None, False)], 0, "unknown move kind 'swap'"),
+    ], ids=["project-without-corner", "corner-not-first", "compose-wrong-goal",
+            "attach-without-found", "unknown-kind"])
+    def test_impossible_move_raises(self, moves, index, message):
+        with pytest.raises(ReplayError, match=message) as exc:
+            replay(moves, "S")
+        assert exc.value.index == index
+
     def test_shift_onto_found_raises(self):
         with pytest.raises(ReplayError) as exc:
             replay([(SHIFT, None, "S", None, "a", None, False),

@@ -125,10 +125,51 @@ class TestFormatErrors:
     ], ids=["RULE", "SHIFT", "PROJ", "DELTA", "DPROJ"])
     def test_count_below_one(self, kind, record):
         head = "PLCG-MODEL\t1\t%s\tS\n" % kind
-        assert loads(head + record % "2" + "\n" + (START_SHIFT if kind != "pcfg" else ""))
+        start = "SHIFT\tS\tB\t1\n"  # a start record whose key no case repeats
+        assert loads(head + record % "2" + "\n" + (start if kind != "pcfg" else ""))
         for count in ("0", "-5"):
             with pytest.raises(ModelFormatError, match="below 1"):
                 loads(head + record % count + "\n")
+
+    @pytest.mark.parametrize("kind, record", [
+        # Trailing fields on a fixed-length record.
+        ("plcg", "SHIFT\tS\tNN\t3\t7"),
+        ("plcg", "ATT\tS\tS\t1\t2\t2"),
+        ("delta", "DELTA\t2\tA\tS\t-1\t2\t2"),
+        # A record of another model kind.
+        ("plcg", "RULE\tS\tA\t1"),
+        ("plcg", "DELTA\t1\tA\tS\t-1\t2"),
+        ("plcg", "DPROJ\t1\t-2\tS\tS\t<attach>\t1"),
+        ("pcfg", "SHIFT\tS\tA\t1"),
+        ("delta", "RULE\tS\tA\t1"),
+        # A key that an earlier record holds, with a count of its own.
+        ("plcg", "SHIFT\tS\tA\t5"),
+        ("pcfg", "RULE\tS\tA\t5"),
+        ("plcg", "ATT\tA\tS\t0\t5"),
+        ("plcg", "PROJ\tS\tA\tS\tA\t5"),
+        ("delta", "DELTA\t01\tA\tS\t-1\t5"),
+        ("delta", "DPROJ\t1\t0\tA\tS\tS\tA\t5"),
+    ], ids=["SHIFT-extra", "ATT-extra", "DELTA-extra", "RULE-in-plcg", "DELTA-in-plcg",
+            "DPROJ-in-plcg", "SHIFT-in-pcfg", "RULE-in-delta", "SHIFT-again",
+            "RULE-again", "ATT-again", "PROJ-again", "DELTA-again", "DPROJ-again"])
+    def test_record_that_does_not_belong_is_malformed(self, kind, record, tmp_path, capsys):
+        # Each of these loaded: the trailing field or the other kind's record
+        # was ignored, and the last of two records for one key won.
+        good = {"pcfg": "RULE\tS\tA\t1\n",
+                "plcg": START_SHIFT + "ATT\tA\tS\t0\t1\nPROJ\tS\tA\tS\tA\t1\n"}
+        good["delta"] = (good["plcg"] + "DELTA\t1\tA\tS\t-1\t1\n"
+                         "DPROJ\t1\t0\tA\tS\tS\tA\t1\n")
+        text = "PLCG-MODEL\t1\t%s\tS\n%s" % (kind, good[kind])
+        assert loads(text)
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(ModelFormatError, match="malformed line %d" % lineno):
+            loads(text + record + "\n")
+        path = tmp_path / "model"
+        path.write_text(text + record + "\n")
+        tags = tmp_path / "tags.txt"
+        tags.write_text("A\n")
+        assert main(["parse", str(path), str(tags)]) == 2
+        assert "malformed line %d" % lineno in capsys.readouterr().err
 
     def test_impossible_attach_counts(self):
         head = "PLCG-MODEL\t1\tplcg\tS\n"

@@ -309,6 +309,21 @@ class TestOracles:
             # The text without the @ takes the one pass and loads the same.
             assert one_pass_load(text.replace("@", "x"), opts, True) == want, mode
 
+    def test_fold_down_onto_a_binarized_node_stays_in_the_one_pass(self, monkeypatch):
+        # The fold takes the kid's tail chain apart and binarizes again, so
+        # the load never runs the stages.
+        texts = ["(X (Y (A a) (B b) (C c)))", "(X (Y (A a) (B b) (C c) (D d)))",
+                 "(A (B (C a b c)))", write_trees(generate_corpus(200, seed=7, raw=True))]
+        opts = PreprocessOptions(unary_mode=UnaryMode.FOLD_DOWN)
+        want = [staged_load(text, opts, True) for text in texts]
+
+        def staged(tree):
+            raise AssertionError("the load ran the stages")
+
+        monkeypatch.setattr("plcg.treebank.to_pos_tree", staged)
+        monkeypatch.setattr("plcg.treebank.binarize_tree", staged)
+        assert [one_pass_load(text, opts, True) for text in texts] == want
+
     def test_one_pass_load_reports_the_first_fault_of_the_first_pass(self):
         cases = [
             # A mixed tree before a read fault: the read error.
