@@ -34,6 +34,7 @@ class CompiledPcfg:
     """Binarized, integer-indexed form of a PCFG for the chart kernels."""
 
     sym_ids: dict[str, int]
+    tag_ids: dict[str, int]  # the symbols no rule rewrites, which a tag may name
     syms: list[str]
     bin_rules: list[Rule]
     un_rules: list[Rule]
@@ -76,12 +77,14 @@ def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
     binarized = binarize_pcfg(model)
     syms = sorted(binarized.symbols | {binarized.start})
     ids = {s: i for i, s in enumerate(syms)}
+    lhs = {r.lhs for r in binarized.rules}
     # Sorted by lhs, as symbol ids are: each lhs owns one run of binary
     # rules, which the kernels reduce over.
     bin_rules = sorted(r for r in binarized.rules if len(r.rhs) == 2)
     un_rules = sorted(r for r in binarized.rules if len(r.rhs) == 1)
     return CompiledPcfg(
         sym_ids=ids,
+        tag_ids={s: i for s, i in ids.items() if s not in lhs},
         syms=syms,
         bin_rules=bin_rules,
         un_rules=un_rules,
@@ -97,13 +100,13 @@ def compile_pcfg(model: PcfgModel) -> CompiledPcfg:
 
 
 def _prologue(tags: Sequence[str], model: PcfgModel) -> tuple[CompiledPcfg, Optional[np.ndarray]]:
-    """The compiled model, and the tags' symbol ids or None for an unknown tag."""
+    """The compiled model, and the tags' ids in ``tag_ids``, or None if one is missing."""
     if not tags:
         raise ValueError("empty tag sequence")
     if model.compiled is None:
         model.compiled = compile_pcfg(model)
     g = model.compiled
-    terms = [g.sym_ids.get(t) for t in tags]
+    terms = [g.tag_ids.get(t) for t in tags]
     return g, None if None in terms else np.array(terms, dtype=np.int64)
 
 

@@ -180,12 +180,10 @@ def cmd_parse(args) -> int:
             for rank, (tree, lp) in enumerate(parses, start=1):
                 print("%d\t%.6f\t%s" % (rank, lp, write_tree(tree)))
             print()
-    mean = sum(log_probs) / len(log_probs) if log_probs else float("nan")
-    print(
-        "parsed %d/%d sentences (%d no-parse), mean log-prob %.6f"
-        % (parsed, len(sentences), len(sentences) - parsed, mean),
-        file=sys.stderr,
-    )
+    summary = "parsed %d/%d sentences (%d no-parse)" % (parsed, len(sentences), len(sentences) - parsed)
+    if log_probs:
+        summary += ", mean log-prob %.6f" % (sum(log_probs) / len(log_probs))
+    print(summary, file=sys.stderr)
     return 0
 
 

@@ -40,9 +40,6 @@ from .grammar_types import ATTACH_RULE, DeltaModel, PlcgModel
 from .transforms import debinarize_tree, is_binarized_symbol
 from .treebank import Tree, write_tree
 
-# Closure rounds per word boundary: a unary cycle would otherwise project
-# forever.
-MAX_NONSHIFT = 50
 # States an exhaustive parse may build in one closure.
 STATE_LIMIT = 200000
 VARIANTS = ("base", "delta")
@@ -142,11 +139,10 @@ def _delta_moves(model: DeltaModel, lc: str, gc: str, depth: int) -> list:
             p = p_delta * p_rule
             if p == 0.0:
                 continue
-            composed = delta in (-2, -1)
             if rule == ATTACH_RULE:
                 out.append(((ATTACH, lc, gc, None, None, None, False), 2, (), math.log(p)))
-            elif not composed or rule.lhs == gc:
-                out.append(_project(lc, gc, rule, composed, math.log(p)))
+            else:
+                out.append(_project(lc, gc, rule, delta in (-2, -1), math.log(p)))
     return out
 
 
@@ -250,26 +246,28 @@ def _closure(
     states: list[ParserState], model, stacks: StackTable,
     tag: Optional[str] = None, keep: Optional[int] = None,
 ) -> list[ParserState]:
-    """Expand attach/project moves to a fixpoint within a word boundary, for
-    at most ``MAX_NONSHIFT`` rounds.  Stacks live in ``stacks``.  With the
-    next ``tag``, build only the states that can still shift it.
+    """Expand attach/project moves within a word boundary until no state is
+    offered.  Stacks live in ``stacks``.  With the next ``tag``, build only
+    the states that can still shift it.
 
     With ``keep``, hold only the ``keep`` best states per stack, the earlier
     one on a tie: a state enters only if it beats the worst one held for its
-    stack, and a state pushed out before its turn is not expanded.
-    Probabilities are at most one, so a unary cycle cannot beat the state it
-    started from.  With ``keep`` above 1, every complete state is held: an
+    stack, and a state pushed out before its turn is not expanded.  No move
+    makes an expandable stack deeper, and probabilities are at most one, so
+    a unary cycle cannot beat the state it started from: the loop ends on
+    any grammar.  With ``keep`` above 1, every complete state is held: an
     n-best list needs them all, because a tree can have more than one
     derivation (binarized nodes, or delta's composed projection against a
     projection and an attach).  Without ``keep`` (the exhaustive parse),
     hold every state, and raise TooManyDerivationsError past
-    ``STATE_LIMIT`` of them.  Held states are returned in the order they
-    were built, complete ones last unless ``keep`` is 1."""
+    ``STATE_LIMIT`` of them, as a unary cycle always does.  Held states are
+    returned in the order they were built, complete ones last unless
+    ``keep`` is 1."""
     top = stacks.top
     held: dict = {}  # stack id -> held state, or list of them best first
     entered: list[ParserState] = []
     complete: list[ParserState] = []
-    offered, rounds = list(states), 0
+    offered = list(states)
     while True:
         frontier = []
         if keep == 1:
@@ -301,7 +299,7 @@ def _closure(
             entered += frontier
             if keep is None and len(entered) + len(complete) > STATE_LIMIT:
                 raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
-        if not frontier or rounds == MAX_NONSHIFT:
+        if not frontier:
             break
         offered = []
         for st in frontier:
@@ -311,7 +309,6 @@ def _closure(
                     held[stack] is st if keep == 1
                     else keep is None or any(other is st for other in held[stack])):
                 offered += successors(st, model, stacks, tag)
-        rounds += 1
     if keep == 1:
         return list(held.values())
     if keep is None:
@@ -336,9 +333,9 @@ def _complete_states(
     """Complete states over ``tags``, best first.  With ``k``, the closures
     hold the ``n_best`` best states per stack, and only the ``k`` best
     states that can shift the next tag survive each word boundary; without,
-    every derivation is kept, and a closure may build at most
-    ``STATE_LIMIT`` states.  The parse's stacks live in one StackTable,
-    dropped when it returns."""
+    every derivation is kept, and a closure past ``STATE_LIMIT`` states
+    raises.  The parse's stacks live in one StackTable, dropped when it
+    returns."""
     if not tags:
         raise ValueError("empty tag sequence")
     base = model.base if isinstance(model, DeltaModel) else model
@@ -402,11 +399,11 @@ def exhaustive_lc_parse(
     model: PlcgModel | DeltaModel,
     variant: Optional[str] = None,
 ) -> list[tuple[Tree, float]]:
-    """Every complete derivation with its probability, under the model's own
+    """Every complete derivation with its log-probability, under the model's own
     machine; oracle for small fixtures.  Each tree of the model appears
-    through exactly one derivation (before binarization).  Raises
+    through exactly one derivation (before binarization).  Exact, or raises
     TooManyDerivationsError when a closure holds more than ``STATE_LIMIT``
-    states."""
+    states, as on any unary cycle."""
     complete = _complete_states(tags, model, variant)
     return [(recover_tree(st.moves, model.start), st.log_prob) for st in complete]
 

@@ -114,6 +114,17 @@ def test_tree_extraction_does_not_recurse():
     assert tree == chain(n - 1, right=True)
 
 
+@pytest.mark.parametrize("tags", [["S"], ["NP", "V", "N"], ["N", "V", "N", "PP"], ["N", "V", "VP@V"]])
+def test_a_symbol_that_a_rule_rewrites_is_no_tag(tags):
+    # Only the symbols that no rule of the binarized grammar rewrites are
+    # terminals: a phrase label, or the binarized VP@V of V NP PP, in the
+    # input makes the sentence uncovered, as it is for the left-corner beam.
+    model = model_from({**PP_COUNTS, ("VP", ("V", "NP", "PP")): 2})
+    assert viterbi_parse(tags, model) is None
+    assert sentence_probability(tags, model) == 0.0
+    assert enumerate_parses(tags, model) == []
+
+
 class TestEnumeration:
     def test_exhaustive_over_short_inputs(self, pp_model):
         # Every parse found by brute force appears exactly once.

@@ -212,6 +212,21 @@ class TestParse:
         code, out, _ = run(capsys, ["parse", str(model), str(bad)])
         assert code == 0 and out.strip() == "-NOPARSE-"
 
+    @pytest.mark.parametrize("kind", ["plcg", "pcfg"])
+    def test_summary_without_a_parse_has_no_mean(self, workspace, capsys, kind):
+        # No sentence parses, so there is no mean log-prob to report.
+        model = self.induce(workspace, capsys, kind)
+        bad = workspace / "bad.txt"
+        bad.write_text("XX YY\nYY\n")
+        code, out, err = run(capsys, ["parse", str(model), str(bad)])
+        assert code == 0 and out == "-NOPARSE-\n-NOPARSE-\n"
+        assert err == "parsed 0/2 sentences (2 no-parse)\n"
+        # One parse is enough for the mean.
+        bad.write_text("XX YY\n" + (workspace / "tags.txt").read_text().splitlines()[0] + "\n")
+        code, out, err = run(capsys, ["parse", str(model), str(bad)])
+        lp = float(out.splitlines()[1].split("\t")[1])
+        assert err == "parsed 1/2 sentences (1 no-parse), mean log-prob %.6f\n" % lp
+
     def test_engines_agree_on_best_tree(self, tmp_path, capsys):
         # Unambiguous corpus: both scoring models must return the gold tree.
         corpus = tmp_path / "corpus.txt"

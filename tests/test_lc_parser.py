@@ -147,13 +147,13 @@ def ambiguous_corpus():
 
 def reference_closure(states, model, stacks, tag=None):
     """The exhaustive closure as it was before it shared the beam's loop:
-    every state in build order, complete ones among them, and
-    TooManyDerivationsError once more than ``STATE_LIMIT`` are built."""
+    every state in build order, complete ones among them, until no state is
+    built, and TooManyDerivationsError once more than ``STATE_LIMIT`` are
+    built."""
     top = stacks.top
     out = list(states)
     frontier = list(states)
-    rounds = 0
-    while frontier and rounds < lc_parser.MAX_NONSHIFT:
+    while frontier:
         nxt = []
         for st in frontier:
             if st.stack and top[st.stack][0] == FOUND:
@@ -162,7 +162,6 @@ def reference_closure(states, model, stacks, tag=None):
         if len(out) > lc_parser.STATE_LIMIT:
             raise TooManyDerivationsError("state count exceeded %d" % lc_parser.STATE_LIMIT)
         frontier = nxt
-        rounds += 1
     return out
 
 
@@ -391,8 +390,7 @@ class TestExhaustiveClosure:
         assert closure_pools(model, tags, _closure) == ref
         return ref
 
-    def test_same_states_as_the_reference_closure(self, nested_model, cyclic_model,
-                                                  monkeypatch):
+    def test_same_states_as_the_reference_closure(self, nested_model):
         cases = []
         for variant in ("base", "delta"):
             trees, model, _ = sample_models(variant)
@@ -405,14 +403,6 @@ class TestExhaustiveClosure:
             states += sum(map(len, pools))
             complete += sum(not st[0] for st in pools[-1])
         assert states > 500 and complete > 10
-        # Unary cycles run until the round cap, which is lowered here to
-        # keep the reference's state count small; each cap binds.
-        model, tags = cyclic_model
-        sizes = []
-        for rounds in (1, 2, 3):
-            monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
-            sizes.append(sum(map(len, self.assert_closures_agree(model, tags))))
-        assert sizes[0] < sizes[1] < sizes[2]
 
     def test_state_limit_is_passed_at_the_same_point(self, nested_model, cyclic_model,
                                                       monkeypatch):
@@ -478,20 +468,38 @@ class TestBounds:
         # The beam keeps k states a boundary and is not bounded by it.
         assert beam_parse(tags, model, k=100)
 
-    def test_unary_self_loop_closure_stops_after_max_nonshift_rounds(
-        self, np_loop_model, monkeypatch,
-    ):
+    def test_unary_self_loop_makes_the_exhaustive_parse_raise(self, np_loop_model, monkeypatch):
+        # The NP -> NP chain never ends, so the exhaustive parse has no
+        # finite list of derivations: it raises instead of returning a
+        # truncated one.  The limit is lowered to keep the test fast.
         model = np_loop_model
         gold = t("(S (NP DT NN) (VP VB (NP PRP)))")
         best = beam_parse(leaves(gold), model, k=100)
         assert best and best[0][0] == gold
-        for rounds in (lc_parser.MAX_NONSHIFT, 7):
-            monkeypatch.setattr(lc_parser, "MAX_NONSHIFT", rounds)
-            stacks = StackTable()
-            found_np = state_of(stacks, ((SOUGHT, "S"), (FOUND, "NP")))
-            pool = _closure([found_np], model, stacks, "VB")
-            # Each round adds one move; the NP -> NP chain alone never ends.
-            assert max(len(move_list(st.moves)) for st in pool) == rounds
+        monkeypatch.setattr(lc_parser, "STATE_LIMIT", 2000)
+        with pytest.raises(TooManyDerivationsError):
+            exhaustive_lc_parse(leaves(gold), model)
+        stacks = StackTable()
+        found_np = state_of(stacks, ((SOUGHT, "S"), (FOUND, "NP")))
+        with pytest.raises(TooManyDerivationsError):
+            _closure([found_np], model, stacks, "VB")
+
+    def test_deep_right_branching_chain_parses(self):
+        # After the last tag, one closure attaches the chain's 60 levels in
+        # a row, and ends by itself.
+        text = "(S a)"
+        for _ in range(59):
+            text = "(S a %s)" % text
+        gold = t(text)
+        model = induce_plcg([gold])
+        tags = leaves(gold)
+        lp = plcg_tree_log_prob(gold, model)
+        for n_best in (1, 3):
+            parses = beam_parse(tags, model, k=100, n_best=n_best)
+            assert [tree for tree, _ in parses] == [gold]
+            assert parses[0][1] == pytest.approx(lp)
+        [(tree, tree_lp)] = exhaustive_lc_parse(tags, model)
+        assert tree == gold and tree_lp == pytest.approx(lp)
 
     def test_recombined_closure_leaves_unary_self_loop(self, np_loop_model, monkeypatch):
         # NP -> NP cannot beat the found NP it projects from, so the beam's
@@ -501,7 +509,7 @@ class TestBounds:
         found_np = state_of(stacks, ((SOUGHT, "S"), (FOUND, "NP")))
         pool = _closure([found_np], np_loop_model, stacks, "VB", keep=1)
         assert max(len(move_list(st.moves)) for st in pool) == 1
-        assert 0 < sum(built) < 5 < lc_parser.MAX_NONSHIFT
+        assert 0 < sum(built) < 5
 
     def test_cyclic_unaries_close(self, cyclic_model, monkeypatch):
         # The unrecombined closure did not finish this sentence in 40 s.
