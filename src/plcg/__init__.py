@@ -26,7 +26,6 @@ from .evalb import (
     YieldMismatchError,
     aggregate,
     brackets,
-    score,
     score_corpus,
     score_pair,
 )
@@ -67,7 +66,6 @@ from .treebank import (
     TreeReadError,
     UnaryMode,
     VacuousTreeError,
-    fold_unaries,
     leaves,
     preprocess,
     preprocess_corpus,

@@ -76,28 +76,8 @@ def _crossing(test_spans: set[tuple[int, int]], gold_spans: set[tuple[int, int]]
     return sum(min_end[i] < j or max_start[j] > i for i, j in test_spans)
 
 
-def _unlabelled(spans: Counter) -> Counter:
-    return Counter((i, j) for i, j, _ in spans.elements())
-
-
 def _matched(gold: Counter, test: Counter) -> int:
     return sum((gold & test).values())
-
-
-def score(
-    gold: Tree, test: Tree, labelled: bool, include_unary: bool,
-) -> tuple[int, int, int, int]:
-    """Per-sentence (matched, gold_count, test_count, crossing)."""
-    if leaves(gold) != leaves(test):
-        raise YieldMismatchError()
-    g_outer, t_outer = brackets(gold, False), brackets(test, False)
-    gb, tb = g_outer, t_outer
-    if include_unary:
-        gb, tb = brackets(gold, True), brackets(test, True)
-    if not labelled:
-        gb, tb = _unlabelled(gb), _unlabelled(tb)
-    crossing = _crossing({(i, j) for i, j, _ in t_outer}, {(i, j) for i, j, _ in g_outer})
-    return _matched(gb, tb), sum(gb.values()), sum(tb.values()), crossing
 
 
 @dataclass

@@ -4,8 +4,8 @@ Training input is built in one pass: ``preprocess_corpus`` over text or a
 file applies the whole pipeline (function-tag stripping, empty pruning,
 unary folding, ROOT wrapping and, if asked, reduction to tags and tail
 binarization) to each node as its bracket closes, so raw and word-level
-trees are never built.  The same per-node steps serve ``preprocess``,
-``fold_unaries`` and ``to_pos_tree`` on trees."""
+trees are never built.  The same per-node steps serve ``preprocess`` and
+``to_pos_tree`` on trees."""
 
 from __future__ import annotations
 
@@ -97,7 +97,6 @@ _set_children = Tree.children.__set__
 class UnaryMode(str, Enum):
     KEEP = "keep"
     FOLD_UP = "fold_up"
-    FOLD_DOWN = "fold_down"
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,8 @@ class PreprocessOptions:
     binarize: bool = False
 
 
-_STAGE = dict(add_root=False, strip_empties=False, strip_function_tags=False)
-_TAGS = PreprocessOptions(**_STAGE, pos_tags=True)
+_TAGS = PreprocessOptions(add_root=False, strip_empties=False, strip_function_tags=False,
+                          pos_tags=True)
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
@@ -267,16 +266,13 @@ def _builder(opts: PreprocessOptions):
     unchanged preterminal is reused, or None; ``top`` marks a top node.
     ``finish(result)`` wraps a tree's top result in ROOT.
 
-    A node folds (hoists its child for fold_up, takes its grandchildren for
-    fold_down) when it has one child left and that child is not a word, so
-    one bottom-up pass reaches the fixpoint; a top ``ROOT`` node does not
-    fold.  A fold_down takes a binarized child's tail chain apart and
-    binarizes the grandchildren again under the new label.  Words beside
+    Under fold_up a node with one child left that is not a word is
+    replaced by that child, so one bottom-up pass reaches the fixpoint and
+    no tag is relabelled; a top ``ROOT`` node does not fold.  Words beside
     phrases under tag reduction raise _Rejected, for the stages to report;
     ``preprocess_corpus`` leaves the separator to the stages."""
     strip_tags, strip_empties = opts.strip_function_tags, opts.strip_empties
-    mode = UnaryMode(opts.unary_mode)
-    fold, up = mode is not UnaryMode.KEEP, mode is UnaryMode.FOLD_UP
+    fold = UnaryMode(opts.unary_mode) is UnaryMode.FOLD_UP
     tags, binarize = opts.pos_tags, opts.binarize
 
     def preterminal(label, word, node):
@@ -300,11 +296,7 @@ def _builder(opts: PreprocessOptions):
                 return None
             node = None
         if fold and not words and len(kids) == 1 and not (top and label == ROOT_LABEL):
-            if up:
-                return kids[0]
-            kids = list(kids[0].children)  # a binarized kid's tail chain comes apart
-            while binarize and kids and SEPARATOR in kids[-1].label:
-                kids[-1:] = kids[-1].children
+            return kids[0]
         if words:
             if tags and words < len(kids):
                 raise _Rejected
@@ -364,17 +356,6 @@ def _rebuild(t: Tree, steps):
             del done[-n:]
             done.append(value)
     return done[0]
-
-
-def fold_unaries(t: Tree, mode: UnaryMode) -> Tree:
-    """Eliminate unary branches by hoisting the child (fold_up) or relabelling
-    it with the parent (fold_down).  One pass reaches the fixpoint, because
-    it folds the children first.  The unary branch under an existing root
-    wrapper is left alone."""
-    mode = UnaryMode(mode)
-    if mode is UnaryMode.KEEP:
-        return t
-    return preprocess(t, PreprocessOptions(**_STAGE, unary_mode=mode))
 
 
 def preprocess(t: Tree, opts: PreprocessOptions) -> Tree:

@@ -12,7 +12,7 @@ from plcg.chart import enumerate_parses, sentence_probability, viterbi_parse
 from plcg.cli import main
 from plcg.corpus import generate_corpus, random_tree, random_tree_over_yield
 from plcg.derivation import derivation_events, max_stack_depth, replay
-from plcg.evalb import score, score_corpus
+from plcg.evalb import score_corpus, score_pair
 from plcg.induction import (
     corpus_log_likelihood,
     induce_delta_model,
@@ -207,8 +207,8 @@ def test_criterion_7_evaluator_ground_truth():
     nbar_np = t("(VP saw (NP the (N1 man (PP with (NP a (N1 telescope))))))")
 
     def errors(gold, test):
-        m, g, tn, cb = score(gold, test, labelled=True, include_unary=False)
-        return tn - m, g - m, cb
+        s = score_pair(gold, test)
+        return s.lab_test - s.lab_matched, s.lab_gold - s.lab_matched, s.crossing
 
     assert errors(penn_np, penn_vp) == (0, 1, 0)
     assert errors(penn_vp, penn_np) == (1, 0, 0)
@@ -220,10 +220,10 @@ def test_criterion_7_evaluator_ground_truth():
         words = ["w%d" % i for i in range(rng.randint(2, 8))]
         gold = random_tree_over_yield(rng, words)
         test = random_tree_over_yield(rng, words)
-        for labelled in (False, True):
-            m1, g1, t1, _ = score(gold, test, labelled, include_unary=False)
-            m2, g2, t2, _ = score(test, gold, labelled, include_unary=False)
-            assert (m1, g1, t1) == (m2, t2, g2)
+        s1, s2 = score_pair(gold, test), score_pair(test, gold)
+        assert (s1.matched, s1.gold, s1.test) == (s2.matched, s2.test, s2.gold)
+        assert (s1.lab_matched, s1.lab_gold, s1.lab_test) == (s2.lab_matched, s2.lab_test,
+                                                              s2.lab_gold)
     print("\n[PASS] criterion 7: all four error-table cells exact; symmetry on 200 pairs")
 
 

@@ -142,6 +142,18 @@ class TestInduce:
         assert code == 0
         assert (workspace / "m.delta").read_text().startswith("PLCG-MODEL\t1\tdelta")
 
+    def test_fold_down_is_not_a_unary_mode(self, workspace, capsys):
+        # Relabelling the tag under a unary phrase, as in (NP (PRP he)) to
+        # the leaf NP, would give a model terminals that are not tags.
+        argv = ["induce", str(workspace / "corpus.txt"), str(workspace / "m.plcg"),
+                "--unary", "fold_down"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 1 and captured.out == ""
+        assert "invalid choice: 'fold_down'" in captured.err
+        assert "Traceback" not in captured.err and not (workspace / "m.plcg").exists()
+
 
 class TestParse:
     def induce(self, workspace, capsys, kind="plcg", extra=()):

@@ -11,7 +11,6 @@ from plcg.evalb import (
     _crossing,
     aggregate,
     brackets,
-    score,
     score_corpus,
     score_pair,
 )
@@ -52,8 +51,8 @@ class TestErrorTable:
     """The four attachment-error cells: (precision errors, recall errors, CBs)."""
 
     def errors(self, gold, test):
-        m, g, tn, cb = score(gold, test, labelled=True, include_unary=False)
-        return tn - m, g - m, cb
+        s = score_pair(gold, test)
+        return s.lab_test - s.lab_matched, s.lab_gold - s.lab_matched, s.crossing
 
     def test_flat_style_vp_instead_of_np(self):
         assert self.errors(PENN_NP, PENN_VP) == (0, 1, 0)
@@ -68,45 +67,39 @@ class TestErrorTable:
         assert self.errors(NBAR_VP, NBAR_NP) == (2, 1, 1)
 
 
+def counts(s):
+    """(matched, gold, test) per measure: unlabelled, labelled, labelled +1."""
+    return [(s.matched, s.gold, s.test), (s.lab_matched, s.lab_gold, s.lab_test),
+            (s.plus1_matched, s.plus1_gold, s.plus1_test)]
+
+
 class TestScore:
     def test_perfect_self_score(self):
-        tree = PENN_NP
-        for labelled in (False, True):
-            for unary in (False, True):
-                m, g, tn, cb = score(tree, tree, labelled, unary)
-                assert m == g == tn and cb == 0
+        s = score_pair(PENN_NP, PENN_NP)
+        assert all(m == g == tn for m, g, tn in counts(s)) and s.crossing == 0
 
     def test_unlabelled_ignores_labels(self):
-        gold = t("(S (NP (NN a)) (VP (VB b)))")
-        test = t("(X (Y (NN a)) (Z (VB b)))")
-        m_unlab, _, _, _ = score(gold, test, labelled=False, include_unary=False)
-        m_lab, _, _, _ = score(gold, test, labelled=True, include_unary=False)
+        s = score_pair(t("(S (NP (NN a)) (VP (VB b)))"), t("(X (Y (NN a)) (Z (VB b)))"))
         # Spans (0,2), (0,1), (1,2) all match by position, none by label.
-        assert m_unlab == 3 and m_lab == 0
+        assert s.matched == 3 and s.lab_matched == 0
 
     def test_yield_mismatch_raises(self):
         with pytest.raises(YieldMismatchError):
-            score(t("(S a)"), t("(S b)"), labelled=True, include_unary=False)
+            score_pair(t("(S a)"), t("(S b)"))
 
     def test_symmetry_on_random_pairs(self, rng):
         for _ in range(200):
             words = ["w%d" % i for i in range(rng.randint(2, 9))]
             gold = random_tree_over_yield(rng, words)
             test = random_tree_over_yield(rng, words)
-            for labelled in (False, True):
-                for unary in (False, True):
-                    m1, g1, t1, _ = score(gold, test, labelled, unary)
-                    m2, g2, t2, _ = score(test, gold, labelled, unary)
-                    assert (m1, g1, t1) == (m2, t2, g2)
+            swapped = [(m, tn, g) for m, g, tn in counts(score_pair(test, gold))]
+            assert counts(score_pair(gold, test)) == swapped
 
     def test_unlabelled_matched_at_least_labelled(self, rng):
         for _ in range(50):
             words = ["w%d" % i for i in range(rng.randint(2, 7))]
-            gold = random_tree_over_yield(rng, words)
-            test = random_tree_over_yield(rng, words)
-            mu, _, _, _ = score(gold, test, labelled=False, include_unary=False)
-            ml, _, _, _ = score(gold, test, labelled=True, include_unary=False)
-            assert mu >= ml
+            s = score_pair(random_tree_over_yield(rng, words), random_tree_over_yield(rng, words))
+            assert s.matched >= s.lab_matched
 
 
 class TestAggregate:
@@ -223,10 +216,6 @@ def oracle_pairs(rng):
 def test_score_pair_matches_reference(rng):
     for gold, test in oracle_pairs(rng):
         assert score_pair(gold, test) == reference_score_pair(gold, test), (gold, test)
-        for labelled in (False, True):
-            for unary in (False, True):
-                assert score(gold, test, labelled, unary) == _reference_score(
-                    gold, test, labelled, unary)
     for include_unary in (False, True):
         for gold, _ in oracle_pairs(rng):
             assert brackets(gold, include_unary) == _reference_brackets(gold, include_unary)

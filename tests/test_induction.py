@@ -19,14 +19,17 @@ from plcg.induction import (
     pcfg_tree_log_prob,
     plcg_tree_log_prob,
 )
+from plcg.lc_parser import beam_parse
 from plcg.transforms import binarize_corpus
 from plcg.treebank import (
     PreprocessOptions,
     Tree,
     UnaryMode,
     iter_local_trees,
+    leaves,
     preprocess_corpus,
     to_pos_tree,
+    write_trees,
 )
 from test_derivation import reference_move_events
 
@@ -272,3 +275,20 @@ class TestCorpusLogLikelihood:
         tree = t("(S (A a) (B b))")
         assert corpus_log_likelihood([tree], induce_pcfg([tree])) == pytest.approx(0.0)
         assert corpus_log_likelihood([tree], induce_plcg([tree])) == pytest.approx(0.0)
+
+
+# Under every unary mode, a model's terminals are the corpus's tags: it
+# parses each tag sequence of the trees it was induced from.
+CONTRACT_CORPUS = write_trees(generate_corpus(500, seed=7, raw=True))
+
+
+@pytest.mark.parametrize("kind", ["plcg", "delta"])
+@pytest.mark.parametrize("mode", list(UnaryMode), ids=lambda m: m.value)
+def test_every_unary_mode_parses_the_tags_of_its_training_corpus(kind, mode):
+    # The training load of `plcg induce --model KIND --unary MODE`.
+    opts = PreprocessOptions(unary_mode=mode, pos_tags=True, binarize=kind == "delta")
+    trees, _ = preprocess_corpus(CONTRACT_CORPUS, opts)
+    model = induce_plcg(trees) if kind == "plcg" else induce_delta_model(trees)
+    tagged, _ = preprocess_corpus(CONTRACT_CORPUS, PreprocessOptions(pos_tags=True))
+    missed = [leaves(tree) for tree in tagged if not beam_parse(leaves(tree), model, k=1000)]
+    assert not missed, (len(missed), missed[0])

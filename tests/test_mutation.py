@@ -68,7 +68,7 @@ def test_mutated_tree_files_end_in_documented_exit_codes(mutate, tmp_path, capsy
     for _ in range(12):
         mutant.write_text(mutate(rng, BASE))
         for argv in (["induce", str(mutant), model, "--model", "pcfg"],
-                     ["induce", str(mutant), model, "--model", "plcg", "--unary", "fold_down"],
+                     ["induce", str(mutant), model, "--model", "plcg", "--unary", "fold_up"],
                      ["induce", str(mutant), model, "--model", "delta", "--binarize"],
                      ["eval", str(base), str(mutant)],
                      ["eval", str(mutant), str(mutant)],

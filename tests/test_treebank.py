@@ -13,7 +13,6 @@ from plcg.treebank import (
     TreeReadError,
     UnaryMode,
     VacuousTreeError,
-    fold_unaries,
     iter_local_trees,
     leaves,
     preprocess,
@@ -108,15 +107,12 @@ def _reference_strip_empties(t):
     return Tree(t.label, tuple(kept)) if kept else None
 
 
-def _reference_fold(t, mode):
+def _reference_fold_up(t):
     if t.is_leaf or t.is_preterminal:
         return t
-    children = tuple(_reference_fold(c, mode) for c in t.children)
+    children = tuple(_reference_fold_up(c) for c in t.children)
     if len(children) == 1 and not children[0].is_leaf:
-        if mode is UnaryMode.FOLD_UP:
-            return children[0]
-        if mode is UnaryMode.FOLD_DOWN:
-            return Tree(t.label, children[0].children)
+        return children[0]
     return Tree(t.label, children)
 
 
@@ -127,11 +123,11 @@ def reference_preprocess(t, opts):
         t = _reference_strip_empties(t)
         if t is None:
             raise VacuousTreeError("tree has no pronounced words after stripping")
-    if opts.unary_mode is not UnaryMode.KEEP:
+    if opts.unary_mode is UnaryMode.FOLD_UP:
         if t.label == "ROOT" and len(t.children) == 1:
-            t = Tree(t.label, (_reference_fold(t.children[0], opts.unary_mode),))
+            t = Tree(t.label, (_reference_fold_up(t.children[0]),))
         else:
-            t = _reference_fold(t, opts.unary_mode)
+            t = _reference_fold_up(t)
     if opts.add_root and t.label != "ROOT":
         t = Tree("ROOT", (t,))
     return t
@@ -240,10 +236,6 @@ class TestOracles:
             for opts in ALL_OPTIONS:
                 assert outcome(preprocess, tree, opts) == outcome(
                     reference_preprocess, tree, opts), (write_tree(tree), opts)
-            for mode in UnaryMode:
-                keep = PreprocessOptions(add_root=False, strip_empties=False,
-                                         strip_function_tags=False, unary_mode=mode)
-                assert fold_unaries(tree, mode) == reference_preprocess(tree, keep)
 
     def test_to_pos_tree_matches_reference(self, rng):
         for tree in oracle_trees(rng):
@@ -309,20 +301,22 @@ class TestOracles:
             # The text without the @ takes the one pass and loads the same.
             assert one_pass_load(text.replace("@", "x"), opts, True) == want, mode
 
-    def test_fold_down_onto_a_binarized_node_stays_in_the_one_pass(self, monkeypatch):
-        # The fold takes the kid's tail chain apart and binarizes again, so
+    def test_binarized_load_stays_in_the_one_pass(self, monkeypatch):
+        # A fold hoists a binarized kid as it is, so under every unary mode
         # the load never runs the stages.
         texts = ["(X (Y (A a) (B b) (C c)))", "(X (Y (A a) (B b) (C c) (D d)))",
                  "(A (B (C a b c)))", write_trees(generate_corpus(200, seed=7, raw=True))]
-        opts = PreprocessOptions(unary_mode=UnaryMode.FOLD_DOWN)
-        want = [staged_load(text, opts, True) for text in texts]
+        want = {mode: [staged_load(text, PreprocessOptions(unary_mode=mode), True)
+                       for text in texts] for mode in UnaryMode}
 
         def staged(tree):
             raise AssertionError("the load ran the stages")
 
         monkeypatch.setattr("plcg.treebank.to_pos_tree", staged)
         monkeypatch.setattr("plcg.treebank.binarize_tree", staged)
-        assert [one_pass_load(text, opts, True) for text in texts] == want
+        for mode in UnaryMode:
+            opts = PreprocessOptions(unary_mode=mode)
+            assert [one_pass_load(text, opts, True) for text in texts] == want[mode], mode
 
     def test_one_pass_load_reports_the_first_fault_of_the_first_pass(self):
         cases = [
@@ -486,43 +480,51 @@ class TestPreprocessing:
         assert once == twice
 
 
+def fold(tree, mode):
+    """``tree`` with only its unary branches folded."""
+    return preprocess(tree, PreprocessOptions(add_root=False, strip_empties=False,
+                                              strip_function_tags=False, unary_mode=mode))
+
+
 class TestUnaryFolding:
     def test_fold_up_hoists_child(self):
         # Unary chains above preterminals fold away too (NP -> NNP).
-        folded = fold_unaries(t("(X (S (NP (NNP a)) (VP (VB b))))"), UnaryMode.FOLD_UP)
+        folded = fold(t("(X (S (NP (NNP a)) (VP (VB b))))"), UnaryMode.FOLD_UP)
         assert folded == t("(S (NNP a) (VB b))")
 
-    def test_fold_down_keeps_parent_label(self):
-        folded = fold_unaries(t("(X (S (NP (NNP a)) (VP (VB b))))"), UnaryMode.FOLD_DOWN)
-        assert folded == t("(X (NP a) (VP b))")
-
     def test_fold_runs_to_fixpoint(self, rng):
-        folded = fold_unaries(t("(A (B (C (D x) (E y))))"), UnaryMode.FOLD_UP)
+        folded = fold(t("(A (B (C (D x) (E y))))"), UnaryMode.FOLD_UP)
         assert folded == t("(C (D x) (E y))")
         for _ in range(200):
-            tree = random_tree(rng, max_branch=2)
-            for mode in (UnaryMode.FOLD_UP, UnaryMode.FOLD_DOWN):
-                once = fold_unaries(tree, mode)
-                assert fold_unaries(once, mode) == once
+            once = fold(random_tree(rng, max_branch=2), UnaryMode.FOLD_UP)
+            assert fold(once, UnaryMode.FOLD_UP) == once
 
     def test_preterminals_never_folded(self):
         tree = t("(NN dog)")
-        assert fold_unaries(tree, UnaryMode.FOLD_UP) == tree
+        assert fold(tree, UnaryMode.FOLD_UP) == tree
 
     def test_unary_above_preterminal_folds(self):
-        assert fold_unaries(t("(NP (NN dog))"), UnaryMode.FOLD_UP) == t("(NN dog)")
-        assert fold_unaries(t("(NP (NN dog))"), UnaryMode.FOLD_DOWN) == t("(NP dog)")
+        assert fold(t("(NP (NN dog))"), UnaryMode.FOLD_UP) == t("(NN dog)")
 
     def test_root_unary_branch_exempt(self):
         tree = t("(ROOT (S (NN a) (NN b)))")
-        assert fold_unaries(tree, UnaryMode.FOLD_UP) == tree
+        assert fold(tree, UnaryMode.FOLD_UP) == tree
 
     def test_keep_mode_is_identity(self):
         tree = t("(A (B (C x) (D y)))")
-        assert fold_unaries(tree, UnaryMode.KEEP) == tree
+        assert fold(tree, UnaryMode.KEEP) == tree
 
     def test_accepts_mode_string(self):
-        assert fold_unaries(t("(A (B (C x) (D y)))"), "fold_up") == t("(B (C x) (D y))")
+        assert fold(t("(A (B (C x) (D y)))"), "fold_up") == t("(B (C x) (D y))")
+
+    def test_folding_keeps_the_tag_yield(self, rng):
+        # The model's terminals are the corpus's tags under every mode.
+        for tree in oracle_trees(rng):
+            outcomes = set()
+            for mode in UnaryMode:
+                out = outcome(preprocess, tree, PreprocessOptions(unary_mode=mode, pos_tags=True))
+                outcomes.add(tuple(leaves(out)) if isinstance(out, Tree) else out[0])
+            assert len(outcomes) == 1, write_tree(tree)
 
 
 def test_tree_is_hashable_and_frozen():
