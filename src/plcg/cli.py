@@ -101,9 +101,8 @@ def _load_training_trees(path: str, opts: PreprocessOptions) -> list[Tree]:
 def _rule_counts(model: Model) -> dict:
     if isinstance(model, PcfgModel):
         return dict(model.counts)
-    base = model.base if isinstance(model, DeltaModel) else model
     counts: dict = defaultdict(int)
-    for dist in base.proj_counts.values():
+    for dist in model.base.proj_counts.values():
         for rule, c in dist.items():
             counts[rule] += c
     return dict(counts)
@@ -127,7 +126,7 @@ def cmd_induce(args) -> int:
     print("trees: %d" % len(trees))
     print("rules: %d" % len(counts))
     if isinstance(model, (PlcgModel, DeltaModel)):
-        base = model.base if isinstance(model, DeltaModel) else model
+        base = model.base
         print("shift contexts: %d" % len(base.shift_counts))
         print("attach contexts: %d" % len(base.att_counts))
         print("projection contexts: %d" % len(base.proj_counts))

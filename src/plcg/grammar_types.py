@@ -1,8 +1,10 @@
 """Rule and model types shared across induction, parsing, and serialization.
 
-All models store raw counts; probabilities are derived, so re-normalization
-is checkable after a save/load round trip.  No smoothing anywhere: unseen
-events keep probability zero.
+All models store the raw counts of independent events; every sum of them
+(a decision point's total, a delta model's counts per delta and its PLCG)
+and every probability is derived once, by the model's constructor, so no
+model holds a sum that disagrees with its parts.  No smoothing anywhere:
+unseen events keep probability zero.
 """
 
 from __future__ import annotations
@@ -87,28 +89,41 @@ class PcfgModel:
 
 @dataclass
 class PlcgModel:
-    """The three conditional tables of a probabilistic left-corner grammar.
+    """The three conditional tables of a probabilistic left-corner grammar,
+    stored as the counts of its events.
 
     shift_counts[gc][lc]: times terminal lc was shifted under goal gc.
-    att_counts[(lc, gc)]: (attach events, attach + project events).
+    attach_counts[gc]: attaches of a completed gc to its goal gc.
     proj_counts[(lc, gc)][rule]: projections of rule from corner lc.
+
+    Derived: att_counts[(lc, gc)] is (attach events, attach + project
+    events), per decision point.
     """
 
     shift_counts: dict[str, dict[str, int]]
-    att_counts: dict[tuple[str, str], tuple[int, int]]
+    attach_counts: dict[str, int]
     proj_counts: dict[tuple[str, str], dict[Rule, int]]
     start: str
     # Move tables per decision point, built by lc_parser on first use.
     move_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.att_counts = {(gc, gc): (c, c) for gc, c in self.attach_counts.items()}
+        for key, dist in self.proj_counts.items():
+            att = self.att_counts.get(key, (0, 0))[0]
+            self.att_counts[key] = (att, att + sum(dist.values()))
+
+    @property
+    def base(self) -> PlcgModel:
+        """The PLCG that scores shifts: the model itself."""
+        return self
+
     def p_shift(self, lc: str, gc: str) -> float:
         return _prob(self.shift_counts.get(gc), lc)
 
     def p_att(self, lc: str, gc: str) -> float:
-        if lc != gc:
-            return 0.0
         att, total = self.att_counts.get((lc, gc), (0, 0))
-        return att / total if total else 0.0
+        return att / total if att else 0.0
 
     def p_lc(self, rule: Rule, lc: str, gc: str) -> float:
         return _prob(self.proj_counts.get((lc, gc)), rule)
@@ -129,21 +144,35 @@ ATTACH_RULE = Rule("<attach>", ("<attach>",))
 class DeltaModel:
     """Stack-size conditioned model (composed machine, binary rules).
 
-    delta_counts[(depth, lc, gc)][delta]: stack-size changes observed.
-    rule_counts[(lc, gc, depth, delta)][rule]: rules given the delta;
-    ATTACH_RULE records a bare terminal attach (delta -2).
-    Shifts are still scored by the base model's shift table.
+    rule_counts[(lc, gc, depth, delta)][rule]: moves that change the stack
+    size by delta; ATTACH_RULE records a bare terminal attach (delta -2).
+    shift_counts[gc][lc]: shifts, as in the PLCG.
+    Derived, in the order of a scan of rule_counts: delta_counts[(depth, lc,
+    gc)][delta], the moves per delta, and base, the PLCG of the same
+    derivations on the base machine, which scores the shifts.
     """
 
-    delta_counts: dict[tuple[int, str, str], dict[int, int]]
     rule_counts: dict[tuple[str, str, int, int], dict[Rule, int]]
-    base: PlcgModel
+    shift_counts: dict[str, dict[str, int]]
+    start: str
     # Move tables per decision point, built by lc_parser on first use.
     move_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def start(self) -> str:
-        return self.base.start
+    def __post_init__(self):
+        self.delta_counts: dict[tuple[int, str, str], dict[int, int]] = {}
+        attach: dict[str, int] = {}
+        proj: dict[tuple[str, str], dict[Rule, int]] = {}
+        for (lc, gc, depth, delta), dist in self.rule_counts.items():
+            self.delta_counts.setdefault((depth, lc, gc), {})[delta] = sum(dist.values())
+            for rule, c in dist.items():
+                if rule != ATTACH_RULE:
+                    row = proj.setdefault((lc, gc), {})
+                    row[rule] = row.get(rule, 0) + c
+                # ATTACH_RULE (one symbol, delta -2), or a composed projection:
+                # on the base machine, a projection and an attach at (gc, gc).
+                if delta == len(rule.rhs) - 3:
+                    attach[gc] = attach.get(gc, 0) + c
+        self.base = PlcgModel(self.shift_counts, attach, proj, self.start)
 
     def p_delta(self, delta: int, depth: int, lc: str, gc: str) -> float:
         return _prob(self.delta_counts.get((depth, lc, gc)), delta)

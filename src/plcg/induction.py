@@ -1,4 +1,8 @@
-"""Relative-frequency estimation of PCFG, PLCG, and stack-delta models."""
+"""Relative-frequency estimation of PCFG, PLCG, and stack-delta models.
+
+Induction counts independent events only (local trees; shifts, attaches
+and projections; shifts and moves per stack change), and each model's
+constructor derives the sums that its probabilities divide by."""
 
 from __future__ import annotations
 
@@ -45,71 +49,51 @@ def induce_pcfg(trees: Sequence[Tree]) -> PcfgModel:
 _ATTACH_KEY = (ATTACH_RULE.lhs, ATTACH_RULE.rhs)
 
 
-def _count_derivations(trees: Sequence[Tree], compose: bool):
-    """Count the gold derivations of ``trees``, one walk per tree.
-
-    Returns the PLCG and, for the composed walk, the delta model's count
-    tables (deltas, rules).  The two machines
-    differ only in a composed projection at (lc, gc), which the base
-    machine takes as the same projection followed by an attach at
-    (gc, gc), so the composed walk counts both models."""
+def _count_derivations(trees: Sequence[Tree], compose: bool) -> PlcgModel | DeltaModel:
+    """Count the gold derivations of ``trees``, one walk per tree: shifts,
+    and then attaches and projections (the PLCG), or the composed machine's
+    moves per stack change (the delta model).  The model derives every sum
+    of these counts itself."""
     shift = defaultdict(lambda: defaultdict(int))
-    att = defaultdict(lambda: [0, 0])
-    proj = defaultdict(lambda: defaultdict(int))
-    deltas = defaultdict(lambda: defaultdict(int))
-    rules = defaultdict(lambda: defaultdict(int))
+    attach = defaultdict(int)
+    # Keyed (lc, gc) for the PLCG's projections, (lc, gc, depth, delta) for
+    # the delta model's moves.
+    moves = defaultdict(lambda: defaultdict(int))
     for t in trees:
         for ev in derivation_events(t, compose=compose):
-            kind, lc, gc, depth, label, rhs, composed = ev
+            kind, lc, gc, depth, label, rhs, _ = ev
             if kind == SHIFT:
                 shift[gc][label] += 1
-                continue
-            pair = att[(lc, gc)]
-            pair[1] += 1
-            if kind == ATTACH:
-                pair[0] += 1
-                key = _ATTACH_KEY
-            else:
-                key = (label, rhs)
-                proj[(lc, gc)][key] += 1
-                if composed:
-                    pair = att[(gc, gc)]
-                    pair[0] += 1
-                    pair[1] += 1
-                if compose and len(rhs) > 2:
+            elif compose:
+                if kind == PROJECT and len(rhs) > 2:
                     raise ValueError("delta model needs binary rules; saw %s -> %s"
                                      % (label, " ".join(rhs)))
-            if compose:
-                delta = stack_delta(ev)
-                deltas[(depth, lc, gc)][delta] += 1
-                rules[(lc, gc, depth, delta)][key] += 1
-    base = PlcgModel(
-        shift_counts={gc: dict(d) for gc, d in shift.items()},
-        att_counts={k: (a, n) for k, (a, n) in att.items()},
-        proj_counts={k: _rule_table(d) for k, d in proj.items()},
-        start=_common_start(trees),
-    )
-    return base, deltas, rules
+                key = _ATTACH_KEY if kind == ATTACH else (label, rhs)
+                moves[(lc, gc, depth, stack_delta(ev))][key] += 1
+            elif kind == ATTACH:
+                attach[gc] += 1
+            else:
+                moves[(lc, gc)][(label, rhs)] += 1
+    shifts = {gc: dict(d) for gc, d in shift.items()}
+    tables = {k: _rule_table(d) for k, d in moves.items()}
+    if compose:
+        return DeltaModel(tables, shifts, _common_start(trees))
+    return PlcgModel(shifts, dict(attach), tables, _common_start(trees))
 
 
 def induce_plcg(trees: Sequence[Tree]) -> PlcgModel:
     """Count shift/attach/project decisions over the gold LC derivations."""
     check_sequence(trees)
-    return _count_derivations(trees, compose=False)[0]
+    return _count_derivations(trees, compose=False)
 
 
 def induce_delta_model(trees: Sequence[Tree]) -> DeltaModel:
-    """Stack-size conditioned model from composed-machine derivations, with
-    its base PLCG counted from the same walk.
+    """Stack-size conditioned model from composed-machine derivations; its
+    base PLCG is the fold of the same moves.
 
     Expects binarized trees; the observable deltas are then -2..+1."""
     check_sequence(trees)
-    base, deltas, rules = _count_derivations(trees, compose=True)
-    return DeltaModel(
-        delta_counts={k: dict(d) for k, d in deltas.items()},
-        rule_counts={k: _rule_table(d) for k, d in rules.items()},
-        base=base,
-    )
+    return _count_derivations(trees, compose=True)
 
 
 def pcfg_tree_log_prob(t: Tree, model: PcfgModel) -> float:

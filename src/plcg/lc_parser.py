@@ -155,13 +155,11 @@ def _compile_moves(
     sought category that can shift ``tag``.  A move that pushes nothing pops
     the corner and its goal and leaves ``below`` on top (None for an empty
     stack)."""
-    if isinstance(model, DeltaModel):
-        table, base = _delta_moves(model, lc, gc, depth), model.base
-    else:
-        table, base = _lc_moves(model, lc, gc), model
+    table = (_delta_moves(model, lc, gc, depth) if isinstance(model, DeltaModel)
+             else _lc_moves(model, lc, gc))
     if tag is None:
         return table
-    shifts = _shift_table(base, tag)
+    shifts = _shift_table(model.base, tag)
     out = []
     for entry in table:
         top = entry[2][-1] if entry[2] else below
@@ -338,7 +336,7 @@ def _complete_states(
     returns."""
     if not tags:
         raise ValueError("empty tag sequence")
-    base = model.base if isinstance(model, DeltaModel) else model
+    base = model.base
     if variant not in (None,) + VARIANTS:
         raise ValueError("unknown variant %r (expected one of %s)" % (variant, ", ".join(VARIANTS)))
     if variant not in (None, "base" if base is model else "delta"):

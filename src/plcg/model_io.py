@@ -1,26 +1,27 @@
 """Model files: versioned header, then one tab-separated record per line.
 
 Record kinds:
-  RULE  <lhs> <rhs...> <count>                      (PCFG)
-  SHIFT <gc> <lc> <count>                           (PLCG / delta)
-  ATT   <lc> <gc> <attach_count> <total_count>      (PLCG / delta)
-  PROJ  <gc> <lc> <lhs> <rhs...> <count>            (PLCG / delta)
-  DELTA <depth> <lc> <gc> <delta> <count>           (delta)
+  RULE  <lhs> <rhs...> <count>                            (pcfg)
+  SHIFT <gc> <lc> <count>                                 (plcg, delta)
+  ATT   <gc> <count>                                      (plcg)
+  PROJ  <gc> <lc> <lhs> <rhs...> <count>                  (plcg)
   DPROJ <depth> <delta> <lc> <gc> <lhs> <rhs...> <count>  (delta)
 
-Counts are stored, probabilities re-derived on load, so normalization stays
-checkable.  Every count is at least 1, an ATT record has
-0 <= attach_count <= total_count with total_count >= 1 (and attach_count 0
-unless lc = gc), and the rule of a PROJ or DPROJ record (other than
-<attach>) starts with its <lc>.  A DPROJ record is a move of the composed
-machine: its delta is the move's stack change (-2 for <attach>, whose lc is
-its gc; len(rhs) - 1 for a projection, len(rhs) - 3 for a composed one,
-whose lhs is its gc), and its rule has at most two symbols.  The start
-symbol is the <lhs> of some RULE (pcfg) or the <gc> of some SHIFT (plcg,
-delta), since every parse begins there.  A file holds only its own kind's
-records, SHIFT, ATT and DELTA records have exactly the fields shown, and no
-record repeats the key (the fields before its counts) of another.  Records are
-emitted sorted: saving is deterministic and round-trips byte-exactly.
+Each record is the count of one event; probabilities and every sum they
+divide by (a decision point's attach + projection total, a delta model's
+counts per delta and its PLCG) are derived on load by the model, so no file
+can hold a sum that disagrees with its parts.  Every count is at least 1,
+and the rule of a PROJ or DPROJ record (other than <attach>) starts with its
+<lc>.  A DPROJ record is a move of the composed machine: its delta is the
+move's stack change (-2 for <attach>, whose lc is its gc; len(rhs) - 1 for a
+projection, len(rhs) - 3 for a composed one, whose lhs is its gc), and its
+rule has at most two symbols.  The start symbol is the <lhs> of some RULE
+(pcfg) or the <gc> of some SHIFT (plcg, delta), since every parse begins
+there.  A file holds only its own kind's records, SHIFT and ATT records have
+exactly the fields shown, and no record repeats the key (the fields before
+its count) of another.  Records are emitted sorted: saving is deterministic
+and round-trips byte-exactly.  Version 1 files, which also stored the sums,
+are refused: the model must be induced again.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from pathlib import Path
 
 from .grammar_types import ATTACH_RULE, DeltaModel, Model, PcfgModel, PlcgModel, Rule
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = "PLCG-MODEL"
-_RECORDS = {"pcfg": {"RULE"}, "plcg": {"SHIFT", "ATT", "PROJ"},
-            "delta": {"SHIFT", "ATT", "PROJ", "DELTA", "DPROJ"}}
-_FIELDS = {"SHIFT": 4, "ATT": 5, "DELTA": 6}  # the records of fixed length
+_RECORDS = {"pcfg": {"RULE"}, "plcg": {"SHIFT", "ATT", "PROJ"}, "delta": {"SHIFT", "DPROJ"}}
+_FIELDS = {"SHIFT": 4, "ATT": 3}  # the records of fixed length
 
 
 class ModelFormatError(ValueError):
@@ -48,46 +48,30 @@ def model_kind(model: Model) -> str:
     return "plcg"
 
 
-def _attach_token(rule: Rule) -> list[str]:
-    if rule == ATTACH_RULE:
-        return [rule.lhs]
-    return [rule.lhs, *rule.rhs]
-
-
-def _plcg_records(model: PlcgModel) -> list[str]:
-    recs = []
-    for gc, dist in model.shift_counts.items():
-        for lc, c in dist.items():
-            recs.append("SHIFT\t%s\t%s\t%d" % (gc, lc, c))
-    for (lc, gc), (att, total) in model.att_counts.items():
-        recs.append("ATT\t%s\t%s\t%d\t%d" % (lc, gc, att, total))
-    for (lc, gc), dist in model.proj_counts.items():
-        for rule, c in dist.items():
-            recs.append(
-                "PROJ\t%s\t%s\t%s\t%s\t%d" % (gc, lc, rule.lhs, "\t".join(rule.rhs), c)
-            )
-    return recs
-
-
 def dumps(model: Model) -> str:
     kind = model_kind(model)
     recs: list[str] = []
     if kind == "pcfg":
         for rule, c in model.counts.items():
             recs.append("RULE\t%s\t%s\t%d" % (rule.lhs, "\t".join(rule.rhs), c))
-    elif kind == "plcg":
-        recs = _plcg_records(model)
     else:
-        recs = _plcg_records(model.base)
-        for (depth, lc, gc), dist in model.delta_counts.items():
-            for delta, c in dist.items():
-                recs.append("DELTA\t%d\t%s\t%s\t%d\t%d" % (depth, lc, gc, delta, c))
-        for (lc, gc, depth, delta), dist in model.rule_counts.items():
+        for gc, dist in model.shift_counts.items():
+            for lc, c in dist.items():
+                recs.append("SHIFT\t%s\t%s\t%d" % (gc, lc, c))
+    if kind == "plcg":
+        for gc, c in model.attach_counts.items():
+            recs.append("ATT\t%s\t%d" % (gc, c))
+        for (lc, gc), dist in model.proj_counts.items():
             for rule, c in dist.items():
                 recs.append(
-                    "DPROJ\t%d\t%d\t%s\t%s\t%s\t%d"
-                    % (depth, delta, lc, gc, "\t".join(_attach_token(rule)), c)
+                    "PROJ\t%s\t%s\t%s\t%s\t%d" % (gc, lc, rule.lhs, "\t".join(rule.rhs), c)
                 )
+    elif kind == "delta":
+        for (lc, gc, depth, delta), dist in model.rule_counts.items():
+            for rule, c in dist.items():
+                body = (rule.lhs,) + (() if rule == ATTACH_RULE else rule.rhs)
+                recs.append("DPROJ\t%d\t%d\t%s\t%s\t%s\t%d"
+                            % (depth, delta, lc, gc, "\t".join(body), c))
     recs.sort()
     header = "%s\t%d\t%s\t%s" % (_HEADER, FORMAT_VERSION, kind, model.start)
     return "".join(line + "\n" for line in [header] + recs)
@@ -115,16 +99,17 @@ def loads(text: str) -> Model:
     if len(head) != 4 or head[0] != _HEADER:
         raise ModelFormatError("bad header: %r" % lines[0])
     if not head[1].isdecimal() or int(head[1]) != FORMAT_VERSION:
-        raise ModelFormatError("unsupported format version %s" % head[1])
+        raise ModelFormatError("unsupported format version %s (this program reads version %d;"
+                               " induce the model again with plcg induce)"
+                               % (head[1], FORMAT_VERSION))
     kind, start = head[2], head[3]
     if kind not in _RECORDS:
         raise ModelFormatError("unknown model kind %r" % kind)
 
     rule_counts: dict[Rule, int] = {}
     shift: dict[str, dict[str, int]] = {}
-    att: dict[tuple[str, str], tuple[int, int]] = {}
+    attach: dict[str, int] = {}
     proj: dict[tuple[str, str], dict[Rule, int]] = {}
-    dcounts: dict[tuple[int, str, str], dict[int, int]] = {}
     drules: dict[tuple[str, str, int, int], dict[Rule, int]] = {}
 
     for lineno, line in enumerate(lines[1:], start=2):
@@ -143,17 +128,10 @@ def loads(text: str) -> Model:
             elif tag == "SHIFT":
                 table, key = shift.setdefault(fields[1], {}), fields[2]
             elif tag == "ATT":
-                attach, total = int(fields[3]), int(fields[4])
-                if not 0 <= attach <= total or total < 1 or attach and fields[1] != fields[2]:
-                    raise ValueError("attach count %d of %d at %s under goal %s"
-                                     % (attach, total, fields[1], fields[2]))
-                table, key = att, (fields[1], fields[2])
+                table, key = attach, fields[1]
             elif tag == "PROJ":
                 gc, lc = fields[1], fields[2]
                 table, key = proj.setdefault((lc, gc), {}), _projection(lc, fields[3], fields[4:-1])
-            elif tag == "DELTA":
-                depth, lc, gc = int(fields[1]), fields[2], fields[3]
-                table, key = dcounts.setdefault((depth, lc, gc), {}), int(fields[4])
             else:  # DPROJ
                 depth, delta, lc, gc = int(fields[1]), int(fields[2]), fields[3], fields[4]
                 body = fields[5:-1]
@@ -167,7 +145,7 @@ def loads(text: str) -> Model:
                 table, key = drules.setdefault((lc, gc, depth, delta), {}), rule
             if key in table:
                 raise ValueError("repeats the key of an earlier record")
-            table[key] = (attach, total) if tag == "ATT" else _count(fields[-1])
+            table[key] = _count(fields[-1])
         except (IndexError, ValueError) as exc:
             raise ModelFormatError("malformed line %d: %r (%s)" % (lineno, line, exc)) from exc
 
@@ -177,10 +155,9 @@ def loads(text: str) -> Model:
         raise ModelFormatError("start symbol %r is the goal of no SHIFT record" % start)
     if kind == "pcfg":
         return PcfgModel(rule_counts, start)
-    base = PlcgModel(shift, att, proj, start)
     if kind == "plcg":
-        return base
-    return DeltaModel(dcounts, drules, base)
+        return PlcgModel(shift, attach, proj, start)
+    return DeltaModel(drules, shift, start)
 
 
 def save_model(model: Model, path: str | Path) -> None:

@@ -32,15 +32,12 @@ def assert_model_normalized(model, tol=1e-9):
             total = sum(model.prob(r) for r in model.rules if r.lhs == lhs)
             assert abs(total - 1.0) < tol, lhs
         return
-    base = model.base if isinstance(model, DeltaModel) else model
+    base = model.base
     for gc in base.shift_counts:
         assert abs(sum(base.shift_dist(gc).values()) - 1.0) < tol, gc
-    for (lc, gc), (att, total_c) in base.att_counts.items():
+    for (lc, gc) in base.att_counts:
         p_att = base.p_att(lc, gc)
-        proj = base.projections(lc, gc)
-        total = p_att + (1.0 - p_att) * sum(proj.values())
-        if att == total_c and not proj:
-            total = p_att
+        total = p_att + (1.0 - p_att) * sum(base.projections(lc, gc).values())
         assert abs(total - 1.0) < tol, (lc, gc)
     for (lc, gc) in base.proj_counts:
         assert abs(sum(base.projections(lc, gc).values()) - 1.0) < tol, (lc, gc)

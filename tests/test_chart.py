@@ -414,7 +414,8 @@ class TestInsideOracle:
         (["S\tX", "X\tY", "X\ta\ta", "Y\tX"], ["a", "a"], 1.0),
     ])
     def test_model_file_cycles(self, rules, tags, want):
-        text = "PLCG-MODEL\t1\tpcfg\tS\n" + "".join("RULE\t%s\t1\n" % r for r in rules)
+        head = "PLCG-MODEL\t%d\tpcfg\tS\n" % model_io.FORMAT_VERSION
+        text = head + "".join("RULE\t%s\t1\n" % r for r in rules)
         assert sentence_probability(tags, model_io.loads(text)) == pytest.approx(want, rel=1e-12)
 
 

@@ -14,6 +14,7 @@ from plcg.derivation import PROJECT, derivation_events, stack_delta
 from plcg.corpus import generate_corpus
 from plcg.induction import induce_delta_model, induce_plcg
 from plcg.lc_parser import beam_parse
+from plcg.model_io import FORMAT_VERSION
 from plcg.transforms import binarize_corpus
 from plcg.treebank import (
     PreprocessOptions,
@@ -80,7 +81,8 @@ class TestInduce:
             capsys, ["induce", str(workspace / "corpus.txt"), str(model_path)]
         )
         assert code == 0
-        assert model_path.read_text().startswith("PLCG-MODEL\t1\tplcg\tROOT\n")
+        assert model_path.read_text().startswith(
+            "PLCG-MODEL\t%d\tplcg\tROOT\n" % FORMAT_VERSION)
         assert "top rules:" in out and "ROOT -> S" in out
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
@@ -140,7 +142,8 @@ class TestInduce:
              "--model", "delta", "--binarize", "--unary", "fold_up"],
         )
         assert code == 0
-        assert (workspace / "m.delta").read_text().startswith("PLCG-MODEL\t1\tdelta")
+        assert (workspace / "m.delta").read_text().startswith(
+            "PLCG-MODEL\t%d\tdelta" % FORMAT_VERSION)
 
     def test_fold_down_is_not_a_unary_mode(self, workspace, capsys):
         # Relabelling the tag under a unary phrase, as in (NP (PRP he)) to
@@ -295,15 +298,15 @@ class TestParse:
             assert code == 1 and flags[0] in err and out == "", (kind, flags)
 
     def test_impossible_model_counts_are_data_errors(self, workspace, capsys):
-        # A zero or negative shift count once ended in a ZeroDivisionError,
-        # and an attach count above its total parsed silently.
+        # A zero or negative shift count once ended in a ZeroDivisionError.
+        # An attach count is a count too; its total, which could once exceed
+        # it, is no longer stored.
         text = self.induce(workspace, capsys).read_text()
         shift = next(line for line in text.splitlines() if line.startswith("SHIFT\t"))
         att = next(line for line in text.splitlines() if line.startswith("ATT\t"))
-        total = int(att.split("\t")[4])
-        bad = [shift.rsplit("\t", 1)[0] + "\t" + count for count in ("0", "-5")]
-        bad.append("\t".join(att.split("\t")[:3] + [str(total + 5), str(total)]))
-        for line, replacement in [(shift, bad[0]), (shift, bad[1]), (att, bad[2])]:
+        cases = [(line, line.rsplit("\t", 1)[0] + "\t" + count)
+                 for line in (shift, att) for count in ("0", "-5")]
+        for line, replacement in cases:
             broken = workspace / "broken.plcg"
             broken.write_text(text.replace(line, replacement, 1))
             code, out, err = run(capsys, ["parse", str(broken), str(workspace / "tags.txt")])

@@ -62,21 +62,26 @@ def reference_plcg(trees):
             else:
                 att[(ev.lc, ev.gc)][1] += 1
                 proj[(ev.lc, ev.gc)][mv.rule] += 1
-    return PlcgModel(
+    model = PlcgModel(
         shift_counts={gc: dict(d) for gc, d in shift.items()},
-        att_counts={k: (a, n) for k, (a, n) in att.items()},
+        attach_counts={gc: a for (_, gc), (a, _) in att.items() if a},
         proj_counts={k: dict(d) for k, d in proj.items()},
         start=trees[0].label,
     )
+    # The model derives each decision point's total from the counts.
+    assert model.att_counts == {k: (a, n) for k, (a, n) in att.items()}
+    return model
 
 
 def reference_delta(trees):
+    shift = defaultdict(lambda: defaultdict(int))
     deltas = defaultdict(lambda: defaultdict(int))
     rules = defaultdict(lambda: defaultdict(int))
     for tree in trees:
         for ev in reference_move_events(tree, compose=True):
             mv = ev.move
             if mv.kind == "shift":
+                shift[ev.gc][mv.symbol] += 1
                 continue
             if mv.kind == "attach":
                 delta, rule = -2, ATTACH_RULE
@@ -84,11 +89,16 @@ def reference_delta(trees):
                 delta, rule = len(mv.rule.rhs) - 1 - (2 if mv.compose else 0), mv.rule
             deltas[(ev.depth, ev.lc, ev.gc)][delta] += 1
             rules[(ev.lc, ev.gc, ev.depth, delta)][rule] += 1
-    return DeltaModel(
-        delta_counts={k: dict(d) for k, d in deltas.items()},
+    model = DeltaModel(
         rule_counts={k: dict(d) for k, d in rules.items()},
-        base=reference_plcg(trees),
+        shift_counts={gc: dict(d) for gc, d in shift.items()},
+        start=trees[0].label,
     )
+    # The model derives its delta table and its PLCG, which is the base
+    # machine's count of the same trees.
+    assert model.delta_counts == {k: dict(d) for k, d in deltas.items()}
+    assert model.base == reference_plcg(trees)
+    return model
 
 
 def assert_same_models(trees):

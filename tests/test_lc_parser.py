@@ -31,7 +31,6 @@ from plcg.lc_parser import (
     successors,
 )
 from plcg.derivation import ATTACH, SHIFT, derivation_events
-from plcg.grammar_types import DeltaModel
 from plcg.model_io import dumps, loads
 from plcg.transforms import binarize_corpus
 from plcg.treebank import (
@@ -169,7 +168,7 @@ def closure_pools(model, sentence, closure, width=20):
     """The states, as (stack, log-prob, moves), that ``closure`` returns at
     each word boundary of ``sentence`` and after its last tag, along a beam
     of the ``width`` best states that can shift each tag."""
-    base = model.base if isinstance(model, DeltaModel) else model
+    base = model.base
     stacks = StackTable()
     beam = [initial_state(model.start, stacks)]
     pools = []

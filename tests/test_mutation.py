@@ -117,9 +117,8 @@ def insert_field(rng, text):
 
 def replace_count(rng, text):
     def edit(rng, fields):
-        # The last field is a count in every record; ATT has two.
-        i = rng.choice([-1, -2]) if fields[0] == "ATT" else -1
-        fields[i] = rng.choice(["0", "-1", "1e3", "\u0663", "\u00b2", "\uff13"])
+        # The last field is the count in every record.
+        fields[-1] = rng.choice(["0", "-1", "1e3", "\u0663", "\u00b2", "\uff13"])
         return "\t".join(fields)
     return edit_line(rng, text, edit)
 
