@@ -50,14 +50,20 @@ def brackets(t: Tree, include_unary: bool) -> Counter:
         ends.append(pos)
         labels.append(node.label)
         todo += kids[::-1]
-    spans = zip(starts, ends, labels)
+    spans = Counter(zip(starts, ends, labels))
     if include_unary:
-        return Counter(spans)
-    # Spans come top-down, so the first label of a span is its outermost.
+        return spans
+    return Counter({(i, j, lab): 1 for (i, j), lab in _outermost(spans).items()})
+
+
+def _outermost(spans: Counter) -> dict[tuple[int, int], str]:
+    """Each span's outermost label, from the unary-inclusive brackets of one
+    tree.  Their keys keep first-seen order and spans come top-down, so a
+    span's first key holds its outermost label."""
     outermost: dict[tuple[int, int], str] = {}
     for i, j, lab in spans:
         outermost.setdefault((i, j), lab)
-    return Counter({(i, j, lab): 1 for (i, j), lab in outermost.items()})
+    return outermost
 
 
 def _crossing(test_spans: set[tuple[int, int]], gold_spans: set[tuple[int, int]]) -> int:
@@ -103,18 +109,18 @@ def score_pair(gold: Tree, test: Tree) -> SentenceScore:
 
 
 def _score_pair(gold: Tree, test: Tree, length: int) -> SentenceScore:
-    """Every figure of one pair from two bracket sets per tree: outermost
-    labels only (unlabelled, labelled, crossing) and unary-inclusive (+1).
-    Each span occurs once in an outermost set, so the set sizes are the
-    bracket counts."""
-    g_outer, t_outer = brackets(gold, False), brackets(test, False)
+    """Every figure of one pair from one bracket walk per tree: the
+    unary-inclusive brackets (+1), and from them the outermost labels only
+    (unlabelled, labelled, crossing).  Each span has one outermost label, so
+    the set sizes are the bracket counts."""
     g_all, t_all = brackets(gold, True), brackets(test, True)
-    g_spans = {(i, j) for i, j, _ in g_outer}
-    t_spans = {(i, j) for i, j, _ in t_outer}
+    g_outer, t_outer = _outermost(g_all), _outermost(t_all)
+    g_spans, t_spans = g_outer.keys(), t_outer.keys()
     return SentenceScore(
         length=length,
         matched=len(g_spans & t_spans), gold=len(g_spans), test=len(t_spans),
-        lab_matched=_matched(g_outer, t_outer), lab_gold=len(g_outer), lab_test=len(t_outer),
+        lab_matched=len(g_outer.items() & t_outer.items()),
+        lab_gold=len(g_outer), lab_test=len(t_outer),
         plus1_matched=_matched(g_all, t_all),
         plus1_gold=sum(g_all.values()), plus1_test=sum(t_all.values()),
         crossing=_crossing(t_spans, g_spans),

@@ -14,14 +14,16 @@ can hold a sum that disagrees with its parts.  Every count is at least 1,
 and the rule of a PROJ or DPROJ record (other than <attach>) starts with its
 <lc>.  A DPROJ record is a move of the composed machine: its delta is the
 move's stack change (-2 for <attach>, whose lc is its gc; len(rhs) - 1 for a
-projection, len(rhs) - 3 for a composed one, whose lhs is its gc), and its
-rule has at most two symbols.  The start symbol is the <lhs> of some RULE
-(pcfg) or the <gc> of some SHIFT (plcg, delta), since every parse begins
-there.  A file holds only its own kind's records, SHIFT and ATT records have
-exactly the fields shown, and no record repeats the key (the fields before
-its count) of another.  Records are emitted sorted: saving is deterministic
-and round-trips byte-exactly.  Version 1 files, which also stored the sums,
-are refused: the model must be induced again.
+projection, len(rhs) - 3 for a composed one, whose lhs is its gc), its rule
+has at most two symbols, and its depth is odd and at least 1 (a corner sits
+on its goal and on a found and a sought entry per goal below).  The start
+symbol is the <lhs> of some RULE (pcfg) or the <gc> of some SHIFT (plcg,
+delta), since every parse begins there.  A file holds only its own kind's
+records, SHIFT and ATT records have exactly the fields shown, and no record
+repeats the key (the fields before its count) of another.  Records are
+emitted sorted: saving is deterministic and round-trips byte-exactly.
+Version 1 files, which also stored the sums, are refused: the model must be
+induced again.
 """
 
 from __future__ import annotations
@@ -134,6 +136,8 @@ def loads(text: str) -> Model:
                 table, key = proj.setdefault((lc, gc), {}), _projection(lc, fields[3], fields[4:-1])
             else:  # DPROJ
                 depth, delta, lc, gc = int(fields[1]), int(fields[2]), fields[3], fields[4]
+                if depth < 1 or depth % 2 == 0:
+                    raise ValueError("no corner of the composed machine is at depth %d" % depth)
                 body = fields[5:-1]
                 if body == [ATTACH_RULE.lhs]:
                     rule, ok = ATTACH_RULE, delta == -2 and lc == gc

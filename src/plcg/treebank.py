@@ -5,7 +5,8 @@ file applies the whole pipeline (function-tag stripping, empty pruning,
 unary folding, ROOT wrapping and, if asked, reduction to tags and tail
 binarization) to each node as its bracket closes, so raw and word-level
 trees are never built.  The same per-node steps serve ``preprocess`` and
-``to_pos_tree`` on trees."""
+``to_pos_tree`` on trees.  The reader splits its tokens a chunk of whole
+lines at a time, and keeps one string per symbol."""
 
 from __future__ import annotations
 
@@ -118,12 +119,44 @@ _TAGS = PreprocessOptions(add_root=False, strip_empties=False, strip_function_ta
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+_CHUNK = 1 << 16  # characters of whole lines split into tokens at a time
 
 
 def _token_offset(text: str, index: int) -> int:
     """Offset of the ``index``-th token.  Only errors need one, so the
     reader's tokens carry none."""
     return next(itertools.islice(_TOKEN.finditer(text), index, None)).start()
+
+
+class _Symbols(dict):
+    """One read's strings: ``symbols[s]`` is the first string seen equal to
+    ``s``, so every occurrence of a symbol shares one string."""
+
+    __slots__ = ()
+
+    def __missing__(self, s: str) -> str:
+        self[s] = s
+        return s
+
+
+class _Labels(dict):
+    """One read's labels: ``labels[raw]`` is the final form of a raw label,
+    stripped of function tags (when ``strip``) once per distinct raw label,
+    and shared through ``symbols``, the read's strings."""
+
+    __slots__ = ("strip", "symbols")
+
+    def __init__(self, strip: bool):
+        super().__init__()
+        self.strip, self.symbols = strip, _Symbols()
+
+    def __missing__(self, raw: str) -> str:
+        label = raw
+        # Labels starting with the delimiter (-NONE-, -LRB-, ...) stay intact.
+        if self.strip and raw[0] not in FUNCTION_DELIMITERS:
+            label = raw.partition("-")[0].partition("=")[0]
+        label = self[raw] = self.symbols[label]
+        return label
 
 
 def read_trees(source: str | TextIO) -> list[Tree]:
@@ -134,13 +167,21 @@ def read_trees(source: str | TextIO) -> list[Tree]:
     return _read(source if isinstance(source, str) else source.read(), None)
 
 
-def _read(text: str, steps) -> list:
+def _read(text: str, opts: PreprocessOptions | None) -> list:
     """The top-level nodes of ``text``, each built as its bracket closes: as
-    a plain Tree when ``steps`` is None, and else by ``_builder``'s steps,
-    with words given as str."""
-    # The same tokens as _TOKEN finds: brackets and the runs between them.
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    preterminal, close, _ = steps or (None, None, None)
+    a plain Tree when ``opts`` is None, and else by ``_builder(opts)``'s
+    steps, with words given as str.
+
+    Tokens are split a chunk of whole lines at a time (no token spans a
+    line), so the read holds the tokens of one chunk, not of the file.
+    Every label, and every word the read keeps, is one string per symbol.
+    A tag load drops the word under each preterminal, so it interns words
+    only where it keeps them, in a node over words alone."""
+    plain = opts is None
+    preterminal, close, _ = (None, None, None) if plain else _builder(opts)
+    names = _Labels(not plain and opts.strip_function_tags)
+    symbols = names.symbols
+    keep_words = plain or not opts.pos_tags
     trees: list = []
     # Per open node: its label (None until read), the children list it
     # belongs to, and the token index of its "(".
@@ -150,46 +191,56 @@ def _read(text: str, steps) -> list:
     children = trees
     words = 0  # words among the children of open nodes
     at_label = False
-    for i, tok in enumerate(tokens):
-        if tok == "(":
-            outer.append(children)
-            children = []
-            labels.append(None)
-            opens.append(i)
-            at_label = True
-        elif tok == ")":
-            at_label = False
-            if not labels:
-                raise TreeReadError("unexpected ')'", _token_offset(text, i))
-            label = labels.pop()
-            opened = opens.pop()
-            kids = children
-            children = outer.pop()
-            if label is None:
-                if not labels and len(kids) == 1:
-                    children.append(kids[0])
-                    continue
-                raise TreeReadError("empty label", _token_offset(text, opened))
-            if not kids:
-                raise TreeReadError("node %r has no children" % label,
-                                    _token_offset(text, opened))
-            if steps is None:
-                children.append(Tree(label, tuple(kids)))
-            elif len(kids) == 1 and kids[0].__class__ is str:
-                children.append(preterminal(label, kids[0], None))
-                words -= 1
+    start = base = 0  # the chunk's first character and the index of its first token
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        # The same tokens as _TOKEN finds: brackets and the runs between them.
+        tokens = text[start:end].replace("(", " ( ").replace(")", " ) ").split()
+        for i, tok in enumerate(tokens, base):
+            if tok == "(":
+                outer.append(children)
+                children = []
+                labels.append(None)
+                opens.append(i)
+                at_label = True
+            elif tok == ")":
+                at_label = False
+                if not labels:
+                    raise TreeReadError("unexpected ')'", _token_offset(text, i))
+                label = labels.pop()
+                opened = opens.pop()
+                kids = children
+                children = outer.pop()
+                if label is None:
+                    if not labels and len(kids) == 1:
+                        children.append(kids[0])
+                        continue
+                    raise TreeReadError("empty label", _token_offset(text, opened))
+                if not kids:
+                    raise TreeReadError("node %r has no children" % label,
+                                        _token_offset(text, opened))
+                if plain:
+                    children.append(Tree(label, tuple(kids)))
+                elif len(kids) == 1 and kids[0].__class__ is str:
+                    children.append(preterminal(label, kids[0], None))
+                    words -= 1
+                else:
+                    n_words = sum(k.__class__ is str for k in kids) if words else 0
+                    words -= n_words
+                    if n_words and not keep_words:  # tag-level words, which a tag load keeps
+                        kids = [symbols[k] if k.__class__ is str else k for k in kids]
+                    # A tree's top node, possibly inside an unlabelled wrapper.
+                    top = not labels or (len(labels) == 1 and labels[0] is None)
+                    children.append(close(label, kids, n_words, None, top))
+            elif at_label:
+                labels[-1] = names[tok]
+                at_label = False
             else:
-                n_words = sum(k.__class__ is str for k in kids) if words else 0
-                words -= n_words
-                # A tree's top node, possibly inside an unlabelled wrapper.
-                top = not labels or (len(labels) == 1 and labels[0] is None)
-                children.append(close(label, kids, n_words, None, top))
-        elif at_label:
-            labels[-1] = tok
-            at_label = False
-        else:
-            children.append(Tree(tok) if steps is None else tok)
-            words += 1
+                if keep_words:
+                    tok = symbols[tok]
+                children.append(Tree(tok) if plain else tok)
+                words += 1
+        start, base = end, base + len(tokens)
     if labels:
         raise TreeReadError("unbalanced brackets", len(text))
     return trees
@@ -262,23 +313,21 @@ def _builder(opts: PreprocessOptions):
     its final form, for the reader and ``_rebuild`` alike.  A node over one
     word is ``preterminal(label, word, node)``; any other is ``close(label,
     kids, words, node, top)``, where ``words`` of the kids are words (a str
-    when read) and a pruned kid is None.  ``node`` is the input Tree, whose
-    unchanged preterminal is reused, or None; ``top`` marks a top node.
-    ``finish(result)`` wraps a tree's top result in ROOT.
+    when read) and a pruned kid is None.  ``label`` is final: the caller
+    strips function tags through a ``_Labels`` table.  ``node`` is the input
+    Tree, whose unchanged preterminal is reused, or None; ``top`` marks a top
+    node.  ``finish(result)`` wraps a tree's top result in ROOT.
 
     Under fold_up a node with one child left that is not a word is
     replaced by that child, so one bottom-up pass reaches the fixpoint and
     no tag is relabelled; a top ``ROOT`` node does not fold.  Words beside
     phrases under tag reduction raise _Rejected, for the stages to report;
     ``preprocess_corpus`` leaves the separator to the stages."""
-    strip_tags, strip_empties = opts.strip_function_tags, opts.strip_empties
+    strip_empties = opts.strip_empties
     fold = UnaryMode(opts.unary_mode) is UnaryMode.FOLD_UP
     tags, binarize = opts.pos_tags, opts.binarize
 
     def preterminal(label, word, node):
-        # Labels starting with the delimiter (-NONE-, -LRB-, ...) stay intact.
-        if strip_tags and label[0] not in FUNCTION_DELIMITERS:
-            label = label.partition("-")[0].partition("=")[0]
         if strip_empties and label == EMPTY_MARKER:
             return None
         if tags:
@@ -288,8 +337,6 @@ def _builder(opts: PreprocessOptions):
         return node if label == node.label else Tree(label, node.children)
 
     def close(label, kids, words, node, top):
-        if strip_tags and label[0] not in FUNCTION_DELIMITERS:
-            label = label.partition("-")[0].partition("=")[0]
         if not all(kids):  # a kid was pruned
             kids = [k for k in kids if k is not None]
             if not kids:
@@ -323,9 +370,10 @@ def _builder(opts: PreprocessOptions):
 _TAG_STEPS = _builder(_TAGS)
 
 
-def _rebuild(t: Tree, steps):
+def _rebuild(t: Tree, steps, names: _Labels | None):
     """``_builder``'s steps over every node of ``t``, children first: the
-    top node's result, or None when no pronounced word is left."""
+    top node's result, or None when no pronounced word is left.  Each label
+    is looked up in ``names``, or kept as it is when ``names`` is None."""
     preterminal, close, _ = steps
     if not t.children:
         return t.label
@@ -346,13 +394,15 @@ def _rebuild(t: Tree, steps):
         if not kids:
             done.append(node)
             words += 1
-        elif len(kids) == 1 and not kids[0].children:
-            done.append(preterminal(node.label, kids[0].label, node))
+            continue
+        label = node.label if names is None else names[node.label]
+        if len(kids) == 1 and not kids[0].children:
+            done.append(preterminal(label, kids[0].label, node))
         else:
             n = len(kids)
             n_words = sum(not c.children for c in kids) if words else 0
             words -= n_words
-            value = close(node.label, done[-n:], n_words, node, node is t)
+            value = close(label, done[-n:], n_words, node, node is t)
             del done[-n:]
             done.append(value)
     return done[0]
@@ -385,7 +435,11 @@ def preprocess_corpus(
     if not opts.binarize or (text is not None and SEPARATOR not in text):
         steps = _builder(opts)
         try:
-            out = [_rebuild(t, steps) for t in trees] if text is None else _read(text, steps)
+            if text is None:
+                names = _Labels(opts.strip_function_tags)
+                out = [_rebuild(t, steps, names) for t in trees]
+            else:
+                out = _read(text, opts)
             kept = [steps[2](r) for r in out if r is not None]
             return kept, len(out) - len(kept)
         except _Rejected:
@@ -444,10 +498,13 @@ def leaves(t: Tree) -> list[str]:
     todo = [t]
     while todo:
         node = todo.pop()
-        if node.children:
-            todo += node.children[::-1]
-        else:
+        kids = node.children
+        if not kids:
             out.append(node.label)
+        elif len(kids) == 1 and not kids[0].children:  # a preterminal: read its word
+            out.append(kids[0].label)
+        else:
+            todo += kids[::-1]
     return out
 
 
@@ -464,7 +521,7 @@ def to_pos_tree(t: Tree) -> Tree:
     children marks a tree already at tag level, whose unary phrases such as
     ``(NP PRP)`` would read as preterminals; it raises ValueError."""
     try:
-        return _TAG_STEPS[2](_rebuild(t, _TAG_STEPS))
+        return _TAG_STEPS[2](_rebuild(t, _TAG_STEPS, None))
     except _Rejected:
         bad = first_node(t, _mixes_leaves)
         raise ValueError("%s mixes bare leaves with phrases; expected a word-level "

@@ -87,6 +87,21 @@ class TestScore:
         with pytest.raises(YieldMismatchError):
             score_pair(t("(S a)"), t("(S b)"))
 
+    def test_unary_chain_that_repeats_a_label_over_one_span(self):
+        # Both NP chains hold NP twice and X once over (0, 2); only the
+        # outermost label differs.
+        gold = t("(S (NP (X (NP (DT a) (NN b)))) (VP (VB c)))")
+        test = t("(S (X (NP (NP (DT a) (NN b)))) (VP (VB c)))")
+        assert brackets(gold, True) == brackets(test, True) == Counter(
+            {(0, 3, "S"): 1, (0, 2, "NP"): 2, (0, 2, "X"): 1, (2, 3, "VP"): 1})
+        assert brackets(gold, False) == Counter({(0, 3, "S"): 1, (0, 2, "NP"): 1, (2, 3, "VP"): 1})
+        assert brackets(test, False) == Counter({(0, 3, "S"): 1, (0, 2, "X"): 1, (2, 3, "VP"): 1})
+        s = score_pair(gold, test)
+        assert s == reference_score_pair(gold, test)
+        assert (s.matched, s.gold, s.test) == (3, 3, 3)
+        assert (s.lab_matched, s.lab_gold, s.lab_test) == (2, 3, 3)
+        assert (s.plus1_matched, s.plus1_gold, s.plus1_test) == (5, 5, 5)
+
     def test_symmetry_on_random_pairs(self, rng):
         for _ in range(200):
             words = ["w%d" % i for i in range(rng.randint(2, 9))]

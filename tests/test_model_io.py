@@ -161,10 +161,15 @@ class TestFormatErrors:
         ("plcg", "ATT\tS\t5"),
         ("plcg", "PROJ\tS\tA\tS\tA\t5"),
         ("delta", "DPROJ\t01\t0\tA\tS\tS\tA\t5"),
+        # A depth at which no corner of the composed machine sits.
+        ("delta", "DPROJ\t2\t0\tA\tS\tS\tA\t1"),
+        ("delta", "DPROJ\t0\t0\tA\tS\tS\tA\t1"),
+        ("delta", "DPROJ\t-3\t0\tA\tS\tS\tA\t1"),
     ], ids=["SHIFT-extra", "ATT-extra", "RULE-in-plcg", "DELTA-in-plcg",
             "DPROJ-in-plcg", "SHIFT-in-pcfg", "RULE-in-delta", "ATT-in-delta",
             "PROJ-in-delta", "DELTA-in-delta", "SHIFT-again", "RULE-again", "ATT-again",
-            "PROJ-again", "DPROJ-again"])
+            "PROJ-again", "DPROJ-again", "DPROJ-depth-2", "DPROJ-depth-0",
+            "DPROJ-depth--3"])
     def test_record_that_does_not_belong_is_malformed(self, kind, record, tmp_path, capsys):
         # Each of these loaded: the trailing field or the other kind's record
         # was ignored, and the last of two records for one key won.

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import io
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -13,8 +15,10 @@ from plcg.treebank import (
     TreeReadError,
     UnaryMode,
     VacuousTreeError,
+    _CHUNK,
     iter_local_trees,
     leaves,
+    post_order,
     preprocess,
     preprocess_corpus,
     read_tree,
@@ -338,14 +342,7 @@ class TestOracles:
             assert load_outcome(staged_load, text, PreprocessOptions(), True)[:3] == want[:3]
 
     def test_malformed_input_errors_match_reference(self, rng):
-        cases = {
-            "stray close": "(S a)\n) (S b)",
-            "empty label": "(S ( (NP x) (VP y)))",
-            "no children": "(S (NP x) (VP))",
-            "truncated": "(S (NP x) (VP (VB y",
-            "unwrapped pair": "( (S a) (S b) )",
-        }
-        for name, text in cases.items():
+        for name, text in MALFORMED.items():
             got = outcome(read_trees, text)
             assert got[0] is TreeReadError, name
             assert got == outcome(reference_read_trees, text), name
@@ -361,6 +358,102 @@ class TestOracles:
             variants.append("".join(swapped))
         for variant in variants:
             assert outcome(read_trees, variant) == outcome(reference_read_trees, variant), variant
+
+
+# Read faults, each named by the fault the reader reports.
+MALFORMED = {
+    "stray close": "(S a)\n) (S b)",
+    "empty label": "(S ( (NP x) (VP y)))",
+    "no children": "(S (NP x) (VP))",
+    "truncated": "(S (NP x) (VP (VB y",
+    "unwrapped pair": "( (S a) (S b) )",
+}
+
+
+class TestChunkedRead:
+    """The reader splits a chunk of whole lines at a time, and keeps one
+    string per symbol."""
+
+    @pytest.fixture
+    def texts(self, rng):
+        texts = [write_trees(generate_corpus(60, seed=seed, raw=True)) for seed in range(3)]
+        for tree in oracle_trees(rng)[::4]:
+            text = write_tree(tree)
+            # Trees split over lines, which a chunk may cut between.
+            texts += [text + "\n", "(\n%s\n)\n" % text.replace(" ", "\n  "),
+                      text.replace(")", "\n)\r\n")]
+        return texts + ["", "\n\n", "(S\t(NP x)\u00a0(VP y))\n\x1c(A b)", "w\nv"]
+
+    @staticmethod
+    def loads(text):
+        """Every read of ``text``: the plain read, and preprocessing of text
+        and of a file, as separate stages and as the one-pass tag load."""
+        out = [outcome(read_trees, text)]
+        for opts in (PreprocessOptions(), PreprocessOptions(unary_mode=UnaryMode.FOLD_UP,
+                                                            pos_tags=True, binarize=True)):
+            out += [outcome(preprocess_corpus, text, opts),
+                    outcome(preprocess_corpus, io.StringIO(text), opts)]
+        return out
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_small_chunks_read_the_same(self, texts, chunk, monkeypatch):
+        want = [self.loads(text) for text in texts]
+        monkeypatch.setattr("plcg.treebank._CHUNK", chunk)
+        for text, loads in zip(texts, want):
+            assert self.loads(text) == loads, text[:200]
+            assert outcome(read_trees, text) == outcome(reference_read_trees, text), text[:200]
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_read_errors_keep_their_offsets(self, chunk, monkeypatch):
+        # Each fault alone, and after lines that fill the first chunks.
+        lines = write_trees(generate_corpus(6, seed=2, raw=True))
+        texts = [text for fault in MALFORMED.values() for text in (fault, lines + fault)]
+        want = [outcome(reference_read_trees, text) for text in texts]
+        assert all(w[0] is TreeReadError for w in want)
+        assert all(outcome(read_trees, text) == w for text, w in zip(texts, want))
+        monkeypatch.setattr("plcg.treebank._CHUNK", chunk)
+        for text, w in zip(texts, want):
+            assert outcome(read_trees, text) == w, text
+            got = outcome(preprocess_corpus, io.StringIO(text), PreprocessOptions(pos_tags=True))
+            assert got == w, text
+
+    def test_one_string_per_symbol(self):
+        text = write_trees(generate_corpus(40, seed=4, raw=True))
+        text += "(S-1 (NP-SBJ (NN dog)) (NP (NN dog)) (NP=2 (NNS dogs)))\n(NP NN NN)\n(X (NP NN NN))\n"
+        plain = read_trees(text)
+        pre, _ = preprocess_corpus(text, PreprocessOptions())
+        tags, _ = preprocess_corpus(io.StringIO(text), PreprocessOptions(pos_tags=True))
+        assert leaves(pre[-3]) == ["dog", "dog", "dogs"] and leaves(tags[-1]) == ["NN", "NN"]
+        for trees in (plain, pre, tags):
+            shared = {}
+            for tree in trees:
+                for node in post_order(tree):
+                    assert shared.setdefault(node.label, node.label) is node.label, node.label
+        # NP-SBJ and NP=2, stripped, are the string of the plain NP.
+        a, b, c = (c.label for c in pre[-3].children[0].children)
+        assert a == "NP" and a is b is c
+
+    @pytest.mark.parametrize("load", [
+        read_trees,
+        lambda text: preprocess_corpus(text, PreprocessOptions(pos_tags=True, binarize=True)),
+    ], ids=["read_trees", "tag-load"])
+    def test_transient_memory_does_not_grow_with_the_text(self, load):
+        # Memory that a read holds only while it runs: its tokens and tables.
+        def transient(text):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out = load(text)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out
+            return peak - retained
+
+        text = write_trees(generate_corpus(100, seed=3, raw=True))
+        text *= 2 * _CHUNK // len(text) + 1  # more than two chunks
+        small, large = transient(text), transient(text * 4)
+        assert large < 1.5 * small, (small, large)
 
 
 class TestReading:
