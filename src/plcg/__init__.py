@@ -6,9 +6,6 @@ PARSEVAL evaluation, with a command-line front end (``plcg``).
 """
 
 from .chart import (
-    TooManyParsesError,
-    UnaryCycleError,
-    enumerate_parses,
     sentence_probability,
     viterbi_parse,
 )
@@ -16,7 +13,6 @@ from .derivation import (
     Event,
     ReplayError,
     derivation_events,
-    max_stack_depth,
     replay,
     stack_delta,
 )
@@ -37,7 +33,6 @@ from .grammar_types import (
     Rule,
 )
 from .induction import (
-    corpus_log_likelihood,
     delta_tree_log_prob,
     induce_delta_model,
     induce_pcfg,
@@ -69,7 +64,6 @@ from .treebank import (
     leaves,
     preprocess,
     preprocess_corpus,
-    read_tree,
     read_trees,
     to_pos_tree,
     write_tree,

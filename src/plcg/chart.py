@@ -16,17 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .grammar_types import NEG_INF, PcfgModel, Rule
-from .induction import pcfg_tree_log_prob
 from .transforms import binarize_pcfg, debinarize_tree
-from .treebank import Tree, write_tree
-
-
-class TooManyParsesError(ValueError):
-    pass
-
-
-class UnaryCycleError(ValueError):
-    pass
+from .treebank import Tree
 
 
 @dataclass
@@ -187,52 +178,3 @@ def sentence_probability(tags: Sequence[str], model: PcfgModel) -> float:
         raise _too_long(n) from None
     lp = inside[0, n, g.start_id]
     return math.exp(lp) if lp != NEG_INF else 0.0
-
-
-def enumerate_parses(
-    tags: Sequence[str], model: PcfgModel, limit: int = 10000
-) -> list[tuple[Tree, float]]:
-    """All distinct parses with exact probabilities; test oracle for small
-    grammars.  Raises when the parse count exceeds ``limit`` or the grammar
-    has a unary cycle over the input."""
-    g, terms = _prologue(tags, model)
-    if terms is None:
-        return []
-    n = len(tags)
-    memo: dict[tuple[int, int, str], list[Tree]] = {}
-    in_progress: set[tuple[int, int, str]] = set()
-
-    def derive(i: int, j: int, sym: str) -> list[Tree]:
-        key = (i, j, sym)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            raise UnaryCycleError("unary cycle at %s" % (key,))
-        in_progress.add(key)
-        out: list[Tree] = []
-        if j == i + 1 and tags[i] == sym:
-            out.append(Tree(sym))
-        for r in g.un_rules:
-            if r.lhs == sym:
-                for sub in derive(i, j, r.rhs[0]):
-                    out.append(Tree(sym, (sub,)))
-        for r in g.bin_rules:
-            if r.lhs != sym:
-                continue
-            for m in range(i + 1, j):
-                for left in derive(i, m, r.rhs[0]):
-                    for right in derive(m, j, r.rhs[1]):
-                        out.append(Tree(sym, (left, right)))
-        in_progress.discard(key)
-        if len(out) > limit:
-            raise TooManyParsesError("more than %d parses" % limit)
-        memo[key] = out
-        return out
-
-    results = []
-    for bt in derive(0, n, model.start):
-        t = debinarize_tree(bt)
-        lp = pcfg_tree_log_prob(t, model)
-        results.append((t, math.exp(lp) if lp != NEG_INF else 0.0))
-    results.sort(key=lambda pair: (-pair[1], write_tree(pair[0])))
-    return results

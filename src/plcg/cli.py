@@ -78,7 +78,7 @@ def _preprocess_options(args, **pipeline) -> PreprocessOptions:
 
 
 def _read_tree_file(path: str) -> list[Tree]:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         return read_trees(f)
 
 
@@ -87,7 +87,7 @@ def _load_training_trees(path: str, opts: PreprocessOptions) -> list[Tree]:
     of dropped trees is reported before any error about the trees kept."""
     dropped = 0
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             trees, dropped = preprocess_corpus(f, opts)
     except ValueError as exc:
         dropped = getattr(exc, "dropped", 0)
@@ -140,7 +140,7 @@ def cmd_induce(args) -> int:
 
 
 def _read_tag_file(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         return [line.split() for line in f.read().splitlines()]
 
 

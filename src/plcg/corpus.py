@@ -69,45 +69,3 @@ def generate_tree(rng: random.Random, raw: bool = False) -> Tree:
 def generate_corpus(size: int, seed: int, raw: bool = False) -> list[Tree]:
     rng = random.Random(seed)
     return [generate_tree(rng, raw=raw) for _ in range(size)]
-
-
-_LABELS = ["S", "NP", "VP", "PP", "X", "Y"]
-_TAGS = ["DT", "NN", "VB", "IN", "JJ"]
-_TERMS = ["the", "cat", "sat", "on", "mat", "big"]
-
-
-def random_tree(rng: random.Random, max_depth: int = 8, max_branch: int = 4) -> Tree:
-    """Arbitrary well-formed tree for round-trip property tests; internal
-    nodes may mix subtree and bare-terminal children."""
-
-    def node(depth: int) -> Tree:
-        if depth >= max_depth or rng.random() < 0.25:
-            if rng.random() < 0.5:
-                return Tree(rng.choice(_TAGS), (Tree(rng.choice(_TERMS)),))
-            return Tree(rng.choice(_TERMS))
-        n = rng.randint(1, max_branch)
-        return Tree(rng.choice(_LABELS), tuple(node(depth + 1) for _ in range(n)))
-
-    t = node(0)
-    while t.is_leaf:  # roots must be non-leaves for derivations
-        t = node(0)
-    return t
-
-
-def random_tree_over_yield(rng: random.Random, words: list[str]) -> Tree:
-    """Random bracketing with random labels over a fixed terminal yield."""
-
-    def build(lo: int, hi: int, depth: int) -> Tree:
-        if hi - lo == 1:
-            return Tree(words[lo])
-        if depth > 6:
-            return Tree(rng.choice(_LABELS), tuple(Tree(w) for w in words[lo:hi]))
-        n_parts = rng.randint(1, min(3, hi - lo))
-        cuts = sorted(rng.sample(range(lo + 1, hi), n_parts - 1)) if n_parts > 1 else []
-        bounds = [lo, *cuts, hi]
-        kids = tuple(build(bounds[i], bounds[i + 1], depth + 1) for i in range(len(bounds) - 1))
-        if len(kids) == 1 and kids[0].is_leaf:
-            return kids[0] if depth > 0 else Tree(rng.choice(_LABELS), kids)
-        return Tree(rng.choice(_LABELS), kids)
-
-    return Tree(rng.choice(_LABELS), (build(0, len(words), 0),)) if len(words) == 1 else build(0, len(words), 0)

@@ -168,12 +168,3 @@ def stack_delta(ev: tuple) -> int:
     if kind == ATTACH:
         return -2
     return len(rhs) - (3 if composed else 1)
-
-
-def max_stack_depth(t: Tree, compose: bool = False) -> int:
-    """Peak stack size over the gold derivation of ``t``."""
-    depth = peak = 1
-    for ev in derivation_events(t, compose=compose):
-        depth += stack_delta(ev)
-        peak = max(peak, depth)
-    return peak

@@ -17,8 +17,6 @@ from typing import Optional, Sequence
 
 from .treebank import ROOT_LABEL, Tree, leaves
 
-Bracket = tuple[int, int, str]
-
 
 class YieldMismatchError(ValueError):
     def __init__(self, index: Optional[int] = None):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Iterable
 
 NEG_INF = float("-inf")
@@ -67,17 +66,9 @@ class PcfgModel:
         c = self.counts.get(rule, 0)
         return c / self._lhs_totals[rule.lhs] if c else 0.0
 
-    def exact_prob(self, rule: Rule) -> Fraction:
-        c = self.counts.get(rule, 0)
-        return Fraction(c, self._lhs_totals[rule.lhs]) if c else Fraction(0)
-
     def log_prob(self, rule: Rule) -> float:
         p = self.prob(rule)
         return math.log(p) if p else NEG_INF
-
-    @property
-    def nonterminals(self) -> set[str]:
-        return set(self._lhs_totals)
 
     @property
     def symbols(self) -> set[str]:

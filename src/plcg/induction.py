@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from fractions import Fraction
 from typing import Sequence
 
 from .derivation import ATTACH, PROJECT, SHIFT, derivation_events, stack_delta
@@ -106,13 +105,6 @@ def pcfg_tree_log_prob(t: Tree, model: PcfgModel) -> float:
     return lp
 
 
-def pcfg_tree_exact_prob(t: Tree, model: PcfgModel) -> Fraction:
-    p = Fraction(1)
-    for lhs, rhs in iter_local_trees(t):
-        p *= model.exact_prob(Rule(lhs, rhs))
-    return p
-
-
 def plcg_tree_log_prob(t: Tree, model: PlcgModel) -> float:
     """Log probability of the unique LC derivation of ``t``.
 
@@ -150,11 +142,3 @@ def delta_tree_log_prob(t: Tree, model: DeltaModel) -> float:
             return NEG_INF
         lp += math.log(p)
     return lp
-
-
-def corpus_log_likelihood(trees: Sequence[Tree], model) -> float:
-    if isinstance(model, PcfgModel):
-        return sum(pcfg_tree_log_prob(t, model) for t in trees)
-    if isinstance(model, DeltaModel):
-        return sum(delta_tree_log_prob(t, model) for t in trees)
-    return sum(plcg_tree_log_prob(t, model) for t in trees)

@@ -6,12 +6,11 @@ unary folding, ROOT wrapping and, if asked, reduction to tags and tail
 binarization) to each node as its bracket closes, so raw and word-level
 trees are never built.  The same per-node steps serve ``preprocess`` and
 ``to_pos_tree`` on trees.  The reader splits its tokens a chunk of whole
-lines at a time, and keeps one string per symbol."""
+lines at a time, and keeps one string per symbol and one leaf per word."""
 
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import re
 from dataclasses import dataclass, replace
@@ -174,7 +173,8 @@ def _read(text: str, opts: PreprocessOptions | None) -> list:
 
     Tokens are split a chunk of whole lines at a time (no token spans a
     line), so the read holds the tokens of one chunk, not of the file.
-    Every label, and every word the read keeps, is one string per symbol.
+    Every label, and every word the read keeps, is one string per symbol,
+    and a plain read builds one leaf per distinct word: leaves are immutable.
     A tag load drops the word under each preterminal, so it interns words
     only where it keeps them, in a node over words alone."""
     plain = opts is None
@@ -182,6 +182,7 @@ def _read(text: str, opts: PreprocessOptions | None) -> list:
     names = _Labels(not plain and opts.strip_function_tags)
     symbols = names.symbols
     keep_words = plain or not opts.pos_tags
+    leaf_of: dict[str, Tree] = {}
     trees: list = []
     # Per open node: its label (None until read), the children list it
     # belongs to, and the token index of its "(".
@@ -235,10 +236,13 @@ def _read(text: str, opts: PreprocessOptions | None) -> list:
             elif at_label:
                 labels[-1] = names[tok]
                 at_label = False
+            elif plain:
+                leaf = leaf_of.get(tok)
+                if leaf is None:
+                    leaf = leaf_of[tok] = Tree(symbols[tok])
+                children.append(leaf)
             else:
-                if keep_words:
-                    tok = symbols[tok]
-                children.append(Tree(tok) if plain else tok)
+                children.append(symbols[tok] if keep_words else tok)
                 words += 1
         start, base = end, base + len(tokens)
     if labels:
@@ -526,14 +530,6 @@ def to_pos_tree(t: Tree) -> Tree:
         bad = first_node(t, _mixes_leaves)
         raise ValueError("%s mixes bare leaves with phrases; expected a word-level "
                          "tree: %s" % (bad.label, write_tree(bad))) from None
-
-
-def read_tree(text: str) -> Tree:
-    """Parse exactly one tree from a string; test/fixture convenience."""
-    ts = read_trees(io.StringIO(text))
-    if len(ts) != 1:
-        raise TreeReadError("expected exactly one tree, found %d" % len(ts), 0)
-    return ts[0]
 
 
 def iter_local_trees(t: Tree) -> Iterator[tuple[str, tuple[str, ...]]]:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from plcg.treebank import Tree, read_tree
+from oracles import read_tree
+from plcg.treebank import Tree
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ def assert_model_normalized(model, tol=1e-9):
     from plcg.grammar_types import DeltaModel, PcfgModel
 
     if isinstance(model, PcfgModel):
-        for lhs in model.nonterminals:
+        for lhs in {r.lhs for r in model.rules}:
             total = sum(model.prob(r) for r in model.rules if r.lhs == lhs)
             assert abs(total - 1.0) < tol, lhs
         return

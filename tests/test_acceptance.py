@@ -8,17 +8,23 @@ import time
 
 
 from conftest import assert_model_normalized, t
-from plcg.chart import enumerate_parses, sentence_probability, viterbi_parse
+from oracles import (
+    corpus_log_likelihood,
+    enumerate_parses,
+    max_stack_depth,
+    pcfg_tree_exact_prob,
+    random_tree,
+    random_tree_over_yield,
+)
+from plcg.chart import sentence_probability, viterbi_parse
 from plcg.cli import main
-from plcg.corpus import generate_corpus, random_tree, random_tree_over_yield
-from plcg.derivation import derivation_events, max_stack_depth, replay
+from plcg.corpus import generate_corpus
+from plcg.derivation import derivation_events, replay
 from plcg.evalb import score_corpus, score_pair
 from plcg.induction import (
-    corpus_log_likelihood,
     induce_delta_model,
     induce_pcfg,
     induce_plcg,
-    pcfg_tree_exact_prob,
     plcg_tree_log_prob,
 )
 from plcg.lc_parser import beam_parse, exhaustive_lc_parse

@@ -10,6 +10,7 @@ Rewrite the file (only on a change meant to alter outputs) with
 
 from pathlib import Path
 
+from oracles import read_tree
 from plcg.corpus import generate_corpus
 from plcg.induction import induce_delta_model, induce_plcg
 from plcg.lc_parser import beam_parse
@@ -18,7 +19,6 @@ from plcg.treebank import (
     PreprocessOptions,
     leaves,
     preprocess_corpus,
-    read_tree,
     to_pos_tree,
     write_tree,
 )

@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import chain, t
+from oracles import TooManyParsesError, UnaryCycleError, enumerate_parses, random_tree_over_yield
 from plcg import _kernels, model_io
 from plcg.chart import (
-    TooManyParsesError,
-    UnaryCycleError,
     _extract,
     compile_pcfg,
-    enumerate_parses,
     sentence_probability,
     viterbi_parse,
 )
-from plcg.corpus import generate_corpus, random_tree_over_yield
+from plcg.corpus import generate_corpus
 from plcg.grammar_types import NEG_INF, PcfgModel, Rule
 from plcg.induction import induce_pcfg, pcfg_tree_log_prob
 from plcg.treebank import PreprocessOptions, Tree, leaves, preprocess_corpus, to_pos_tree

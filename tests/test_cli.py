@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -438,6 +440,26 @@ def test_deep_and_wide_trees_go_through(tmp_path, capsys):
                 assert "labelled_recall=1.0" in out
 
 
+def test_leading_bom_is_ignored(workspace, capsys):
+    # A UTF-8 byte order mark before a tree or tag file is not read as a
+    # word: the files give the same model bytes, parses and eval report.
+    for name in ("corpus.txt", "tags.txt", "gold.txt"):
+        (workspace / ("bom-" + name)).write_bytes(b"\xef\xbb\xbf" + (workspace / name).read_bytes())
+    results = []
+    for prefix in ("", "bom-"):
+        corpus, tags, gold = (str(workspace / (prefix + name))
+                              for name in ("corpus.txt", "tags.txt", "gold.txt"))
+        model = workspace / (prefix + "m.plcg")
+        code, induced, _ = run(capsys, ["induce", corpus, str(model)])
+        assert code == 0
+        parsed = run(capsys, ["parse", str(model), tags])
+        (workspace / (prefix + "test.txt")).write_text(
+            "".join(line.split("\t")[0] + "\n" for line in parsed[1].splitlines()))
+        report = run(capsys, ["eval", gold, str(workspace / (prefix + "test.txt"))])
+        results.append((induced, model.read_bytes(), parsed[:2], report))
+    assert results[0] == results[1]
+
+
 def test_every_module_is_imported_by_the_cli():
     # A module that the command line does not import is one nothing calls.
     # The package's __init__ re-exports every module, so it is skipped: an
@@ -456,6 +478,35 @@ def test_every_module_is_imported_by_the_cli():
                          check=True, timeout=60).stdout.split()
     assert "plcg.cli" in out
     assert expected - set(out) == set()
+
+
+def test_every_public_name_is_used():
+    # A public top-level function or class that only its own definition
+    # names is one nothing calls; the references that only tests use live in
+    # tests/oracles.py.  A use is a whole word in its own module past the
+    # definition line, in another module (the re-exporting __init__ aside),
+    # or in the benchmark or the CI workflow.
+    package = Path(plcg.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    sources = {p.stem: p.read_text() for p in package.glob("*.py") if p.stem != "__init__"}
+    outside = [p.read_text() for p in (root / "lcbench").glob("*.py")]
+    outside.append((root / ".github" / "workflows" / "tier1.yml").read_text())
+    # Entry points of the documented API that the pipeline does not call:
+    # sentence_probability, the inside probability that language-model
+    # measurements need, and score_pair, score_corpus for one gold/test pair.
+    allowed = {"sentence_probability", "score_pair"}
+    unused = set()
+    for module, text in sources.items():
+        lines = text.splitlines()
+        others = [t for m, t in sources.items() if m != module] + outside
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            word = re.compile(r"\b%s\b" % node.name)
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.lineno:])
+            if not word.search(rest) and not any(word.search(t) for t in others):
+                unused.add(node.name)
+    assert unused - allowed == set()
 
 
 @pytest.mark.parametrize("command", ["eval", "gen-corpus", "induce"])

@@ -4,7 +4,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from conftest import chain, t
-from plcg.corpus import random_tree
+from oracles import max_stack_depth, random_tree
 from plcg.derivation import (
     ATTACH,
     PROJECT,
@@ -12,7 +12,6 @@ from plcg.derivation import (
     Event,
     ReplayError,
     derivation_events,
-    max_stack_depth,
     replay,
     stack_delta,
 )

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from conftest import t
-from plcg.corpus import generate_corpus, random_tree_over_yield
+from oracles import random_tree_over_yield
+from plcg.corpus import generate_corpus
 from plcg.evalb import (
     SentenceScore,
     YieldMismatchError,

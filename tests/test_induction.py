@@ -7,15 +7,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_model_normalized, chain, t
-from plcg.corpus import generate_corpus, random_tree
+from oracles import corpus_log_likelihood, pcfg_tree_exact_prob, random_tree
+from plcg.corpus import generate_corpus
 from plcg.grammar_types import ATTACH_RULE, DeltaModel, PcfgModel, PlcgModel, Rule
 from plcg.induction import (
-    corpus_log_likelihood,
     delta_tree_log_prob,
     induce_delta_model,
     induce_pcfg,
     induce_plcg,
-    pcfg_tree_exact_prob,
     pcfg_tree_log_prob,
     plcg_tree_log_prob,
 )

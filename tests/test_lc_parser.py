@@ -5,8 +5,9 @@ import random
 import pytest
 
 from conftest import t
+from oracles import random_tree
 from plcg import lc_parser
-from plcg.corpus import generate_corpus, random_tree
+from plcg.corpus import generate_corpus
 from plcg.induction import (
     delta_tree_log_prob,
     induce_delta_model,

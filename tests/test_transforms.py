@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import t
-from plcg.corpus import random_tree
+from oracles import pcfg_tree_exact_prob, random_tree
 from plcg.grammar_types import Rule
 from plcg.treebank import Tree
-from plcg.induction import induce_pcfg, pcfg_tree_exact_prob, induce_plcg, plcg_tree_log_prob
+from plcg.induction import induce_pcfg, induce_plcg, plcg_tree_log_prob
 from plcg.transforms import (
     ReservedSymbolError,
     binarize_corpus,

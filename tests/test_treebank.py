@@ -7,7 +7,8 @@ import tracemalloc
 import pytest
 
 from conftest import chain, t
-from plcg.corpus import generate_corpus, random_tree
+from oracles import random_tree, read_tree
+from plcg.corpus import generate_corpus
 from plcg.transforms import ReservedSymbolError, binarize_corpus
 from plcg.treebank import (
     PreprocessOptions,
@@ -21,7 +22,6 @@ from plcg.treebank import (
     post_order,
     preprocess,
     preprocess_corpus,
-    read_tree,
     read_trees,
     to_pos_tree,
     write_tree,
@@ -432,6 +432,14 @@ class TestChunkedRead:
         # NP-SBJ and NP=2, stripped, are the string of the plain NP.
         a, b, c = (c.label for c in pre[-3].children[0].children)
         assert a == "NP" and a is b is c
+        # Equal words of one plain read are one leaf.
+        shared = {}
+        for tree in plain:
+            for node in post_order(tree):
+                if not node.children:
+                    assert shared.setdefault(node.label, node) is node, node.label
+        dogs = [np.children[0].children[0] for np in plain[-3].children]
+        assert dogs[0] is dogs[1] and dogs[0] is not dogs[2]
 
     @pytest.mark.parametrize("load", [
         read_trees,
