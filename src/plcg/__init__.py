@@ -10,7 +10,6 @@ from .chart import (
     viterbi_parse,
 )
 from .derivation import (
-    Event,
     ReplayError,
     derivation_events,
     replay,

@@ -35,8 +35,8 @@ def _gather(chart, spans, length, bin_r1, bin_r2, bin_lp):
     return bin_lp + left + chart[mids, (spans + length)[:, None]].take(bin_r2, axis=2)
 
 
-def viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
-                  un_lhs, un_child, un_lp, best, back_op):
+def viterbi_fill(n, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
+                 un_lhs, un_child, un_lp, best, back_op):
     """Fill the Viterbi chart in place, one span length at a time.
 
     back_op: >=0 binary rule index; -2-u for unary rule u; -1 terminal/none.

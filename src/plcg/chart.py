@@ -111,12 +111,12 @@ def viterbi_parse(tags: Sequence[str], model: PcfgModel) -> Optional[tuple[Tree,
     g, terms = _prologue(tags, model)
     if terms is None:
         return None
-    n, n_syms = len(tags), len(g.syms)
+    n = len(tags)
     try:
-        best = np.full((n + 1, n + 1, n_syms), NEG_INF)
+        best = np.full((n + 1, n + 1, len(g.syms)), NEG_INF)
         back_op = np.full(best.shape, -1, dtype=np.int32)
         _kernels.viterbi_fill(
-            n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
+            n, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
             g.un_lhs, g.un_child, g.un_lp, best, back_op,
         )
     except MemoryError:

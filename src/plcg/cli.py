@@ -216,7 +216,7 @@ def cmd_eval(args) -> int:
         frac = 100.0 * retained / len(golds) if golds else 0.0
         print("%-28s %.1f%%" % ("Sentences within cutoff", frac))
     print()
-    for field, value in report.as_dict().items():
+    for field, value in vars(report).items():
         print("%s=%r" % (field, value))
     if args.max_length is not None:
         print("retained=%d" % retained)
@@ -304,19 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each numeric flag and its least value, checked in this order.
+_FLOORS = [("beam", 1), ("n_best", 1), ("size", 1), ("max_length", 1), ("top_rules", 0)]
+
+
 def _validate(args) -> None:
-    beam = getattr(args, "beam", None)
-    if beam is not None and beam < 1:
-        raise UsageError("--beam must be >= 1")
-    if getattr(args, "n_best", 1) < 1:
-        raise UsageError("--n-best must be >= 1")
-    if getattr(args, "size", 1) < 1:
-        raise UsageError("--size must be >= 1")
-    ml = getattr(args, "max_length", None)
-    if ml is not None and ml < 1:
-        raise UsageError("--max-length must be >= 1")
-    if getattr(args, "top_rules", 0) < 0:
-        raise UsageError("--top-rules must be >= 0")
+    for name, least in _FLOORS:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UsageError("--%s must be >= %d" % (name.replace("_", "-"), least))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

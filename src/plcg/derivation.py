@@ -6,8 +6,7 @@ With the compose flag, the attach decision is taken at projection time and
 the matching goal is popped immediately, which bounds the stack on purely
 left- or right-branching input.
 
-A move is one flat tuple, an :class:`Event`
-``(kind, lc, gc, depth, label, rhs, compose)``:
+A move is one flat tuple ``(kind, lc, gc, depth, label, rhs, compose)``:
 
 - ``kind`` is :data:`SHIFT`, :data:`PROJECT` or :data:`ATTACH`;
 - ``lc``, ``gc`` and ``depth`` are the move's context: the left corner
@@ -29,7 +28,7 @@ with ``depth`` None.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator
 
 from .treebank import Tree
 
@@ -61,9 +60,9 @@ class _Node:
 
 
 def replay(moves: Iterable[tuple], start: str) -> Tree:
-    """Run a complete derivation, a sequence of :class:`Event` tuples, on the
-    stack machine and rebuild the tree.  Only each move's kind, label, rhs
-    and compose flag are read, so
+    """Run a complete derivation, a sequence of move tuples, on the stack
+    machine and rebuild the tree.  Only each move's kind, label, rhs and
+    compose flag are read, so
     ``replay(derivation_events(t, compose), t.label) == t``."""
     holder = _Node("")
     # Entries: ("s", category, parent node) or ("f", node).  A found entry
@@ -111,23 +110,10 @@ def replay(moves: Iterable[tuple], start: str) -> Tree:
     return holder.children[0].freeze()
 
 
-class Event(NamedTuple):
-    """A move with its conditioning context.  Moves are plain tuples in this
-    field order; the class names the fields."""
-
-    kind: str
-    lc: Optional[str]
-    gc: str
-    depth: Optional[int]  # None in the parser's moves
-    label: Optional[str]
-    rhs: Optional[tuple[str, ...]]
-    compose: bool
-
-
 def derivation_events(t: Tree, compose: bool = False) -> Iterator[tuple]:
     """Walk the gold derivation of ``t`` on the stack machine, yielding each
-    move as an :class:`Event` tuple, with the (left corner, goal, stack
-    depth) context it is taken in."""
+    move as a tuple, with the (left corner, goal, stack depth) context it is
+    taken in."""
     # The machine stack.  A sought entry is the subtree still to derive; a
     # found entry (spine, i) is the corner spine[i] on the left spine of its
     # goal spine[0], which is the sought entry beneath it.

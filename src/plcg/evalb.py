@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .treebank import ROOT_LABEL, Tree, leaves
 
@@ -25,8 +25,9 @@ class YieldMismatchError(ValueError):
         self.index = index
 
 
-def brackets(t: Tree, include_unary: bool) -> Counter:
-    """Multiset of (start, end, label) spans over terminal positions."""
+def brackets(t: Tree) -> Counter:
+    """Multiset of (start, end, label) spans over terminal positions, unary
+    chains included; ``_outermost`` collapses them."""
     starts: list[int] = []
     ends: list[int] = []
     labels: list[str] = []
@@ -48,10 +49,7 @@ def brackets(t: Tree, include_unary: bool) -> Counter:
         ends.append(pos)
         labels.append(node.label)
         todo += kids[::-1]
-    spans = Counter(zip(starts, ends, labels))
-    if include_unary:
-        return spans
-    return Counter({(i, j, lab): 1 for (i, j), lab in _outermost(spans).items()})
+    return Counter(zip(starts, ends, labels))
 
 
 def _outermost(spans: Counter) -> dict[tuple[int, int], str]:
@@ -84,8 +82,7 @@ def _matched(gold: Counter, test: Counter) -> int:
     return sum((gold & test).values())
 
 
-@dataclass
-class SentenceScore:
+class SentenceScore(NamedTuple):
     length: int
     matched: int
     gold: int
@@ -111,7 +108,7 @@ def _score_pair(gold: Tree, test: Tree, length: int) -> SentenceScore:
     unary-inclusive brackets (+1), and from them the outermost labels only
     (unlabelled, labelled, crossing).  Each span has one outermost label, so
     the set sizes are the bracket counts."""
-    g_all, t_all = brackets(gold, True), brackets(test, True)
+    g_all, t_all = brackets(gold), brackets(test)
     g_outer, t_outer = _outermost(g_all), _outermost(t_all)
     g_spans, t_spans = g_outer.keys(), t_outer.keys()
     return SentenceScore(
@@ -139,9 +136,6 @@ class EvalReport:
     sentence_count: int
     average_length: float
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(vars(self))
-
 
 def _ratio(num: int, den: int) -> float:
     return num / den if den else 1.0
@@ -151,20 +145,21 @@ def aggregate(scores: Sequence[SentenceScore]) -> EvalReport:
     """Micro-averaged report (summed numerators and denominators)."""
     if not scores:
         raise ValueError("no sentences to aggregate")
-    total_cbs = sum(s.crossing for s in scores)
-    total_test = sum(s.test for s in scores)
+    (length, matched, gold, test, lab_matched, lab_gold, lab_test,
+     plus1_matched, plus1_gold, plus1_test, crossing) = map(sum, zip(*scores))
+    n = len(scores)
     return EvalReport(
-        precision=_ratio(sum(s.matched for s in scores), total_test),
-        recall=_ratio(sum(s.matched for s in scores), sum(s.gold for s in scores)),
-        labelled_precision=_ratio(sum(s.lab_matched for s in scores), sum(s.lab_test for s in scores)),
-        labelled_recall=_ratio(sum(s.lab_matched for s in scores), sum(s.lab_gold for s in scores)),
-        labelled_precision_plus1=_ratio(sum(s.plus1_matched for s in scores), sum(s.plus1_test for s in scores)),
-        labelled_recall_plus1=_ratio(sum(s.plus1_matched for s in scores), sum(s.plus1_gold for s in scores)),
-        avg_cbs=total_cbs / len(scores),
-        noncrossing_accuracy=1.0 - (total_cbs / total_test if total_test else 0.0),
-        zero_cb_rate=sum(1 for s in scores if s.crossing == 0) / len(scores),
-        sentence_count=len(scores),
-        average_length=sum(s.length for s in scores) / len(scores),
+        precision=_ratio(matched, test),
+        recall=_ratio(matched, gold),
+        labelled_precision=_ratio(lab_matched, lab_test),
+        labelled_recall=_ratio(lab_matched, lab_gold),
+        labelled_precision_plus1=_ratio(plus1_matched, plus1_test),
+        labelled_recall_plus1=_ratio(plus1_matched, plus1_gold),
+        avg_cbs=crossing / n,
+        noncrossing_accuracy=1.0 - (crossing / test if test else 0.0),
+        zero_cb_rate=sum(1 for s in scores if s.crossing == 0) / n,
+        sentence_count=n,
+        average_length=length / n,
     )
 
 

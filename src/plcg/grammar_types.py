@@ -116,9 +116,6 @@ class PlcgModel:
         att, total = self.att_counts.get((lc, gc), (0, 0))
         return att / total if att else 0.0
 
-    def p_lc(self, rule: Rule, lc: str, gc: str) -> float:
-        return _prob(self.proj_counts.get((lc, gc)), rule)
-
     def projections(self, lc: str, gc: str) -> dict[Rule, float]:
         return _normalize(self.proj_counts.get((lc, gc)))
 
@@ -164,9 +161,6 @@ class DeltaModel:
                 if delta == len(rule.rhs) - 3:
                     attach[gc] = attach.get(gc, 0) + c
         self.base = PlcgModel(self.shift_counts, attach, proj, self.start)
-
-    def p_delta(self, delta: int, depth: int, lc: str, gc: str) -> float:
-        return _prob(self.delta_counts.get((depth, lc, gc)), delta)
 
     def rule_dist(self, lc: str, gc: str, depth: int, delta: int) -> dict[Rule, float]:
         return _normalize(self.rule_counts.get((lc, gc, depth, delta)))

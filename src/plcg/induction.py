@@ -117,7 +117,8 @@ def plcg_tree_log_prob(t: Tree, model: PlcgModel) -> float:
         elif kind == ATTACH:
             p = model.p_att(lc, gc)
         else:
-            p = (1.0 - model.p_att(lc, gc)) * model.p_lc(Rule(label, rhs), lc, gc)
+            p = ((1.0 - model.p_att(lc, gc))
+                 * model.projections(lc, gc).get(Rule(label, rhs), 0.0))
         if p == 0.0:
             return NEG_INF
         lp += math.log(p)
@@ -135,9 +136,8 @@ def delta_tree_log_prob(t: Tree, model: DeltaModel) -> float:
         else:
             delta = stack_delta(ev)
             rule = Rule(label, rhs) if kind == PROJECT else ATTACH_RULE
-            p = model.p_delta(delta, depth, lc, gc) * model.rule_dist(
-                lc, gc, depth, delta
-            ).get(rule, 0.0)
+            p = (model.delta_dist(depth, lc, gc).get(delta, 0.0)
+                 * model.rule_dist(lc, gc, depth, delta).get(rule, 0.0))
         if p == 0.0:
             return NEG_INF
         lp += math.log(p)

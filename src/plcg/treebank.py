@@ -232,7 +232,7 @@ def _read(text: str, opts: PreprocessOptions | None) -> list:
                         kids = [symbols[k] if k.__class__ is str else k for k in kids]
                     # A tree's top node, possibly inside an unlabelled wrapper.
                     top = not labels or (len(labels) == 1 and labels[0] is None)
-                    children.append(close(label, kids, n_words, None, top))
+                    children.append(close(label, kids, n_words, None, top, symbols))
             elif at_label:
                 labels[-1] = names[tok]
                 at_label = False
@@ -316,11 +316,12 @@ def _builder(opts: PreprocessOptions):
     """``(preterminal, close, finish)``: the steps that build each node in
     its final form, for the reader and ``_rebuild`` alike.  A node over one
     word is ``preterminal(label, word, node)``; any other is ``close(label,
-    kids, words, node, top)``, where ``words`` of the kids are words (a str
-    when read) and a pruned kid is None.  ``label`` is final: the caller
-    strips function tags through a ``_Labels`` table.  ``node`` is the input
-    Tree, whose unchanged preterminal is reused, or None; ``top`` marks a top
-    node.  ``finish(result)`` wraps a tree's top result in ROOT.
+    kids, words, node, top, symbols)``, where ``words`` of the kids are words
+    (a str when read) and a pruned kid is None.  ``label`` is final: the
+    caller strips function tags through a ``_Labels`` table.  ``node`` is the
+    input Tree, whose unchanged preterminal is reused, or None; ``top`` marks
+    a top node; the reader's ``symbols`` hold the tail labels it binarizes
+    to.  ``finish(result)`` wraps a tree's top result in ROOT.
 
     Under fold_up a node with one child left that is not a word is
     replaced by that child, so one bottom-up pass reaches the fixpoint and
@@ -340,7 +341,7 @@ def _builder(opts: PreprocessOptions):
             return Tree(label, (Tree(word),))
         return node if label == node.label else Tree(label, node.children)
 
-    def close(label, kids, words, node, top):
+    def close(label, kids, words, node, top, symbols=None):
         if not all(kids):  # a kid was pruned
             kids = [k for k in kids if k is not None]
             if not kids:
@@ -355,7 +356,7 @@ def _builder(opts: PreprocessOptions):
                 return Tree(label)
             kids = [Tree(k) if k.__class__ is str else k for k in kids]
         if binarize and len(kids) > 2:
-            return _tail_chain(label, kids)
+            return _tail_chain(label, kids, symbols)
         if (not tags and node is not None and label == node.label
                 and all(map(is_, kids, node.children))):
             return node  # nothing below it changed
@@ -460,12 +461,14 @@ def preprocess_corpus(
         raise
 
 
-def _tail_chain(label: str, kids: list[Tree]) -> Tree:
+def _tail_chain(label: str, kids: list[Tree], symbols: _Symbols | None = None) -> Tree:
     """``label`` over ``kids`` (n >= 3) as a right chain of n - 2 tail nodes
-    ``label@k1``, ``label@k1@k2``, ..., built from the right."""
+    ``label@k1``, ``label@k1@k2``, ..., built from the right.  With a read's
+    ``symbols``, each tail label is the read's one string for it."""
     labels = [label]
     for c in kids[:-2]:
-        labels.append(labels[-1] + SEPARATOR + c.label)
+        tail = labels[-1] + SEPARATOR + c.label
+        labels.append(tail if symbols is None else symbols[tail])
     tail = Tree(labels[-1], (kids[-2], kids[-1]))
     for i in range(len(kids) - 3, -1, -1):
         tail = Tree(labels[i], (kids[i], tail))

@@ -198,7 +198,7 @@ def test_all_sequences_agree_with_enumeration(pp_model):
                 assert math.exp(best[1]) == pytest.approx(parses[0][1])
 
 
-def scalar_viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
+def scalar_viterbi_fill(n, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
                         un_lhs, un_child, un_lp, best, back_op, back_split):
     """Reference for ``_kernels.viterbi_fill``: one rule and one split at a
     time, updating a cell only on a strict improvement."""
@@ -244,13 +244,13 @@ def scalar_viterbi_fill(n, n_syms, term_ids, bin_lhs, bin_r1, bin_r2, bin_lp,
 def fill_tables(fill, tags, g):
     """The kernel's (best, back_op), or with ``scalar_viterbi_fill`` the
     scalar loop's (best, back_op, back_split)."""
-    n, n_syms = len(tags), len(g.syms)
-    best = np.full((n + 1, n + 1, n_syms), NEG_INF)
+    n = len(tags)
+    best = np.full((n + 1, n + 1, len(g.syms)), NEG_INF)
     tables = [best, np.full(best.shape, -1, dtype=np.int32)]
     if fill is scalar_viterbi_fill:
         tables.append(np.full(best.shape, -1, dtype=np.int64))
     terms = np.array([g.sym_ids[x] for x in tags], dtype=np.int64)
-    fill(n, n_syms, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
+    fill(n, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
          g.un_lhs, g.un_child, g.un_lp, *tables)
     return tables
 

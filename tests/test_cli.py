@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -480,32 +481,48 @@ def test_every_module_is_imported_by_the_cli():
     assert expected - set(out) == set()
 
 
+def _name_tokens(path):
+    """(line, name) of each NAME token of a Python file: its names in code,
+    not in strings or comments."""
+    with tokenize.open(path) as f:
+        return [(tok.start[0], tok.string) for tok in tokenize.generate_tokens(f.readline)
+                if tok.type == tokenize.NAME]
+
+
 def test_every_public_name_is_used():
-    # A public top-level function or class that only its own definition
-    # names is one nothing calls; the references that only tests use live in
-    # tests/oracles.py.  A use is a whole word in its own module past the
-    # definition line, in another module (the re-exporting __init__ aside),
-    # or in the benchmark or the CI workflow.
+    # A public top-level function or class, or a public method or property
+    # of a public class, that only its own definition names is one nothing
+    # calls; the references that only tests use live in tests/oracles.py.
+    # A use is a name in code: in its own module off the definition line, in
+    # another module (the re-exporting __init__ aside) or in the benchmark,
+    # or a whole word in the CI workflow, which is YAML around shell.
     package = Path(plcg.__file__).parent
     root = Path(__file__).resolve().parent.parent
-    sources = {p.stem: p.read_text() for p in package.glob("*.py") if p.stem != "__init__"}
-    outside = [p.read_text() for p in (root / "lcbench").glob("*.py")]
-    outside.append((root / ".github" / "workflows" / "tier1.yml").read_text())
+    sources = {p.stem: p for p in package.glob("*.py") if p.stem != "__init__"}
+    tokens = {module: _name_tokens(p) for module, p in sources.items()}
+    outside = {name for p in (root / "lcbench").glob("*.py") for _, name in _name_tokens(p)}
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
     # Entry points of the documented API that the pipeline does not call:
     # sentence_probability, the inside probability that language-model
     # measurements need, and score_pair, score_corpus for one gold/test pair.
-    allowed = {"sentence_probability", "score_pair"}
+    allowed = {"chart.sentence_probability", "evalb.score_pair"}
     unused = set()
-    for module, text in sources.items():
-        lines = text.splitlines()
-        others = [t for m, t in sources.items() if m != module] + outside
-        for node in ast.parse(text).body:
+    for module, path in sources.items():
+        others = outside | {name for m, toks in tokens.items() if m != module
+                            for _, name in toks}
+        defs = []
+        for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            word = re.compile(r"\b%s\b" % node.name)
-            rest = "\n".join(lines[:node.lineno - 1] + lines[node.lineno:])
-            if not word.search(rest) and not any(word.search(t) for t in others):
-                unused.add(node.name)
+            defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [("%s.%s" % (node.name, f.name), f) for f in node.body
+                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+        for qualname, node in defs:
+            used = (any(name == node.name and line != node.lineno for line, name in tokens[module])
+                    or node.name in others or re.search(r"\b%s\b" % node.name, workflow))
+            if not used:
+                unused.add("%s.%s" % (module, qualname))
     assert unused - allowed == set()
 
 

@@ -9,7 +9,6 @@ from plcg.derivation import (
     ATTACH,
     PROJECT,
     SHIFT,
-    Event,
     ReplayError,
     derivation_events,
     replay,
@@ -26,6 +25,18 @@ class Move(NamedTuple):
     symbol: Optional[str] = None
     rule: Optional[Rule] = None
     compose: bool = False
+
+
+class Event(NamedTuple):
+    """A move of derivation_events with its fields named."""
+
+    kind: str
+    lc: Optional[str]
+    gc: str
+    depth: Optional[int]
+    label: Optional[str]
+    rhs: Optional[tuple[str, ...]]
+    compose: bool
 
 
 class MoveEvent(NamedTuple):

@@ -10,6 +10,7 @@ from plcg.evalb import (
     SentenceScore,
     YieldMismatchError,
     _crossing,
+    _outermost,
     aggregate,
     brackets,
     score_corpus,
@@ -24,27 +25,33 @@ NBAR_VP = t("(VP saw (NP the (N1 man)) (PP with (NP a (N1 telescope))))")
 NBAR_NP = t("(VP saw (NP the (N1 man (PP with (NP a (N1 telescope))))))")
 
 
+def outermost(tree):
+    """The tree's brackets with each unary chain collapsed to its outermost
+    label, as a multiset of (start, end, label) spans."""
+    return Counter((i, j, lab) for (i, j), lab in _outermost(brackets(tree)).items())
+
+
 class TestBrackets:
     def test_unary_chain_collapses_keeping_outermost(self):
         tree = t("(S (NP (DT the) (NN man)))")
-        assert brackets(tree, include_unary=True) == Counter({(0, 2, "S"): 1, (0, 2, "NP"): 1})
-        assert brackets(tree, include_unary=False) == Counter({(0, 2, "S"): 1})
+        assert brackets(tree) == Counter({(0, 2, "S"): 1, (0, 2, "NP"): 1})
+        assert outermost(tree) == Counter({(0, 2, "S"): 1})
 
     def test_single_preterminal_is_empty(self):
-        assert brackets(t("(NN man)"), include_unary=True) == Counter()
+        assert brackets(t("(NN man)")) == Counter()
 
     def test_preterminal_spans_excluded(self):
-        spans = brackets(t("(S (NP (DT a) (NN b)) (VP (VB c)))"), include_unary=True)
+        spans = brackets(t("(S (NP (DT a) (NN b)) (VP (VB c)))"))
         assert spans == Counter({(0, 3, "S"): 1, (0, 2, "NP"): 1, (2, 3, "VP"): 1})
 
     def test_root_wrapper_excluded(self):
         wrapped = t("(ROOT (S (NP (NN a)) (VP (VB b))))")
         bare = t("(S (NP (NN a)) (VP (VB b)))")
-        assert brackets(wrapped, include_unary=True) == brackets(bare, include_unary=True)
+        assert brackets(wrapped) == brackets(bare)
 
     def test_duplicate_brackets_kept_as_multiset(self):
         tree = t("(NP (NP (NP (NN a) (NN b))) (NN c))")
-        spans = brackets(tree, include_unary=True)
+        spans = brackets(tree)
         assert spans[(0, 2, "NP")] == 2
 
 
@@ -93,10 +100,10 @@ class TestScore:
         # outermost label differs.
         gold = t("(S (NP (X (NP (DT a) (NN b)))) (VP (VB c)))")
         test = t("(S (X (NP (NP (DT a) (NN b)))) (VP (VB c)))")
-        assert brackets(gold, True) == brackets(test, True) == Counter(
+        assert brackets(gold) == brackets(test) == Counter(
             {(0, 3, "S"): 1, (0, 2, "NP"): 2, (0, 2, "X"): 1, (2, 3, "VP"): 1})
-        assert brackets(gold, False) == Counter({(0, 3, "S"): 1, (0, 2, "NP"): 1, (2, 3, "VP"): 1})
-        assert brackets(test, False) == Counter({(0, 3, "S"): 1, (0, 2, "X"): 1, (2, 3, "VP"): 1})
+        assert outermost(gold) == Counter({(0, 3, "S"): 1, (0, 2, "NP"): 1, (2, 3, "VP"): 1})
+        assert outermost(test) == Counter({(0, 3, "S"): 1, (0, 2, "X"): 1, (2, 3, "VP"): 1})
         s = score_pair(gold, test)
         assert s == reference_score_pair(gold, test)
         assert (s.matched, s.gold, s.test) == (3, 3, 3)
@@ -232,9 +239,10 @@ def oracle_pairs(rng):
 def test_score_pair_matches_reference(rng):
     for gold, test in oracle_pairs(rng):
         assert score_pair(gold, test) == reference_score_pair(gold, test), (gold, test)
-    for include_unary in (False, True):
-        for gold, _ in oracle_pairs(rng):
-            assert brackets(gold, include_unary) == _reference_brackets(gold, include_unary)
+    for gold, _ in oracle_pairs(rng):
+        assert outermost(gold) == _reference_brackets(gold, False)
+    for gold, _ in oracle_pairs(rng):
+        assert brackets(gold) == _reference_brackets(gold, True)
 
 
 def test_score_corpus_matches_reference(rng):

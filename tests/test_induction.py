@@ -19,7 +19,7 @@ from plcg.induction import (
     plcg_tree_log_prob,
 )
 from plcg.lc_parser import beam_parse
-from plcg.transforms import binarize_corpus
+from plcg.transforms import binarize_corpus, binarize_tree
 from plcg.treebank import (
     PreprocessOptions,
     Tree,
@@ -192,7 +192,7 @@ class TestPlcgInduction:
         ]
         model = induce_plcg(trees)
         assert model.p_att("S", "S") == pytest.approx(0.75)
-        assert model.p_lc(Rule("S", ("S", "b")), "S", "S") == pytest.approx(1.0)
+        assert model.projections("S", "S")[Rule("S", ("S", "b"))] == pytest.approx(1.0)
         assert_model_normalized(model)
 
     def test_shift_distribution_by_hand(self):
@@ -209,8 +209,8 @@ class TestPlcgInduction:
         ]
         plcg = induce_plcg(trees)
         pcfg = induce_pcfg(trees)
-        assert plcg.p_lc(Rule("NP", ("PRP",)), "PRP", "S") == pytest.approx(1.0)
-        assert plcg.p_lc(Rule("NP", ("DT", "NN")), "DT", "NP") == pytest.approx(1.0)
+        assert plcg.projections("PRP", "S")[Rule("NP", ("PRP",))] == pytest.approx(1.0)
+        assert plcg.projections("DT", "NP")[Rule("NP", ("DT", "NN"))] == pytest.approx(1.0)
         assert pcfg.prob(Rule("NP", ("PRP",))) == pytest.approx(0.5)
 
     def test_single_tree_has_probability_one(self):
@@ -301,3 +301,18 @@ def test_every_unary_mode_parses_the_tags_of_its_training_corpus(kind, mode):
     tagged, _ = preprocess_corpus(CONTRACT_CORPUS, PreprocessOptions(pos_tags=True))
     missed = [leaves(tree) for tree in tagged if not beam_parse(leaves(tree), model, k=1000)]
     assert not missed, (len(missed), missed[0])
+
+
+def test_beam_log_probs_equal_the_scorers_exactly():
+    # The scorers walk the gold derivation; the beam scores the moves of its
+    # compiled tables.  On sentences whose best parse is the gold tree the
+    # two log-probs are the same float, not just close.
+    trees, _ = preprocess_corpus(generate_corpus(500, seed=7), PreprocessOptions(pos_tags=True))
+    plcg = induce_plcg(trees)
+    delta = induce_delta_model(binarize_corpus(trees))
+    for tree in trees[:60]:
+        tags = leaves(tree)
+        for model, want in ((plcg, plcg_tree_log_prob(tree, plcg)),
+                            (delta, delta_tree_log_prob(binarize_tree(tree), delta))):
+            (got, lp), = beam_parse(tags, model, k=100)
+            assert got == tree and lp == want, (tags, type(model).__name__, lp, want)

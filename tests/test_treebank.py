@@ -11,6 +11,7 @@ from oracles import random_tree, read_tree
 from plcg.corpus import generate_corpus
 from plcg.transforms import ReservedSymbolError, binarize_corpus
 from plcg.treebank import (
+    SEPARATOR,
     PreprocessOptions,
     Tree,
     TreeReadError,
@@ -423,8 +424,11 @@ class TestChunkedRead:
         plain = read_trees(text)
         pre, _ = preprocess_corpus(text, PreprocessOptions())
         tags, _ = preprocess_corpus(io.StringIO(text), PreprocessOptions(pos_tags=True))
+        binarized, _ = preprocess_corpus(text, PreprocessOptions(pos_tags=True, binarize=True))
         assert leaves(pre[-3]) == ["dog", "dog", "dogs"] and leaves(tags[-1]) == ["NN", "NN"]
-        for trees in (plain, pre, tags):
+        # Equal tail labels of one binarized load are one string too.
+        assert any(SEPARATOR in node.label for tree in binarized for node in post_order(tree))
+        for trees in (plain, pre, tags, binarized):
             shared = {}
             for tree in trees:
                 for node in post_order(tree):
