@@ -22,7 +22,11 @@ from .treebank import Tree
 
 @dataclass
 class CompiledPcfg:
-    """Binarized, integer-indexed form of a PCFG for the chart kernels."""
+    """Binarized, integer-indexed form of a PCFG for the chart kernels.  Each
+    fill's grammar-only work is done on first use and kept: the inside
+    closure, and the Viterbi plan of each tag's closed cell, the unary
+    children that make a span the binary step scores need closing, and the
+    unary changes after which a sweep pass repeats."""
 
     sym_ids: dict[str, int]
     tag_ids: dict[str, int]  # the symbols no rule rewrites, which a tag may name
@@ -37,6 +41,12 @@ class CompiledPcfg:
     un_child: np.ndarray
     un_lp: np.ndarray
     start_id: int
+
+    @cached_property
+    def viterbi_plan(self) -> _kernels.ViterbiPlan:
+        """The Viterbi fill's grammar-only work, built on first use."""
+        return _kernels.viterbi_plan(len(self.syms), list(self.tag_ids.values()), self.bin_lhs,
+                                     self.un_lhs, self.un_child, self.un_lp)
 
     @cached_property
     def unary_closure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,10 +125,7 @@ def viterbi_parse(tags: Sequence[str], model: PcfgModel) -> Optional[tuple[Tree,
     try:
         best = np.full((n + 1, n + 1, len(g.syms)), NEG_INF)
         back_op = np.full(best.shape, -1, dtype=np.int32)
-        _kernels.viterbi_fill(
-            n, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
-            g.un_lhs, g.un_child, g.un_lp, best, back_op,
-        )
+        _kernels.viterbi_fill(n, terms, g.viterbi_plan, g.bin_r1, g.bin_r2, g.bin_lp, best, back_op)
     except MemoryError:
         raise _too_long(n) from None
     score = best[0, n, g.start_id]
@@ -172,7 +179,7 @@ def sentence_probability(tags: Sequence[str], model: PcfgModel) -> float:
     n = len(tags)
     try:
         inside = np.full((n + 1, n + 1, len(g.syms)), NEG_INF)
-        _kernels.inside_fill(n, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
+        _kernels.inside_fill(n, terms, g.viterbi_plan.runs, g.bin_r1, g.bin_r2, g.bin_lp,
                              *g.unary_closure, inside)
     except MemoryError:
         raise _too_long(n) from None

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -247,11 +248,13 @@ def fill_tables(fill, tags, g):
     n = len(tags)
     best = np.full((n + 1, n + 1, len(g.syms)), NEG_INF)
     tables = [best, np.full(best.shape, -1, dtype=np.int32)]
+    terms = np.array([g.sym_ids[x] for x in tags], dtype=np.int64)
     if fill is scalar_viterbi_fill:
         tables.append(np.full(best.shape, -1, dtype=np.int64))
-    terms = np.array([g.sym_ids[x] for x in tags], dtype=np.int64)
-    fill(n, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
-         g.un_lhs, g.un_child, g.un_lp, *tables)
+        fill(n, terms, g.bin_lhs, g.bin_r1, g.bin_r2, g.bin_lp,
+             g.un_lhs, g.un_child, g.un_lp, *tables)
+    else:
+        fill(n, terms, g.viterbi_plan, g.bin_r1, g.bin_r2, g.bin_lp, *tables)
     return tables
 
 
@@ -327,6 +330,13 @@ ORACLE_CASES = {
         ("X", ("a", "b")): 1, ("Y", ("b", "a")): 1,
     }), [["a", "b", "a"]]),
     "long": long_sentence_case,
+    # Over "a b" the chains S M P and S M N Q tie at 1/2.  The sweep sets M
+    # by M -> P in its first pass, before N -> Q scores N, and the second
+    # pass's M -> N only ties, so M -> P stays.
+    "unary-tie-order": lambda: (model_from({
+        ("S", ("M",)): 1, ("M", ("N",)): 1, ("M", ("P",)): 1, ("N", ("Q",)): 1,
+        ("P", ("a", "b")): 1, ("Q", ("a", "b")): 1,
+    }), [["a", "b"]]),
 }
 
 
@@ -365,6 +375,36 @@ class TestFillOracle:
         tree, lp = viterbi_parse(["c", "c", "c"], tie_model())
         assert tree == t("(E (F c) (G c c))")
         assert lp == 3 * math.log(0.5)
+
+    def test_unary_tie_keeps_the_sweeps_first_improvement(self):
+        # Not M -> N, the lower rule index, nor the chain a topological
+        # order of the unary rules would close first.
+        model, [tags] = ORACLE_CASES["unary-tie-order"]()
+        tree, lp = viterbi_parse(tags, model)
+        assert tree == t("(S (M (P a b)))")
+        assert lp == math.log(0.5)
+
+    def test_each_grammar_fills_with_its_own_plan(self):
+        # Two grammars whose compiled arrays have the same shapes, built
+        # afresh and parsed in turn, so freed arrays' ids come back: a plan
+        # cached by anything but the compiled grammar would serve one
+        # grammar's tag cells and unary rules to the other.
+        base = {("S", ("M",)): 1, ("N", ("Q",)): 1, ("N", ("a",)): 1, ("Q", ("a", "b")): 1,
+                ("P", ("a", "b")): 1, ("P", ("a",)): 1}
+        counts = [{**base, ("M", ("N",)): 3, ("M", ("P",)): 1},
+                  {**base, ("M", ("N",)): 1, ("M", ("P",)): 3}]
+        want = [t("(S (M (N (Q a b))))"), t("(S (M (P a b)))")]
+        for step in range(10):
+            model = model_from(counts[step % 2])
+            assert viterbi_parse(["a", "b"], model)[0] == want[step % 2]
+            g = model.compiled
+            for tags in (["a", "b"], ["a"], ["a", "b", "a"]):
+                best, back_op = fill_tables(_kernels.viterbi_fill, tags, g)
+                want_best, want_op, _ = fill_tables(scalar_viterbi_fill, tags, g)
+                assert np.array_equal(best, want_best), (step, tags, "best")
+                assert np.array_equal(back_op, want_op), (step, tags, "back_op")
+            del model, g
+            gc.collect()
 
 
 def two_cycle_model(num, den):

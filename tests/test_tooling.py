@@ -62,22 +62,27 @@ def test_traced_beam_parse_counts_states_and_shifts():
 
 
 def test_traced_chart_parse_counts_rule_span_ops():
-    # A renamed fill kernel, or reordered arguments, would zero these.
+    # The tracer reads the fill kernel's first argument as the sentence
+    # length and its fourth as one entry per binary rule; a renamed kernel,
+    # or reordered arguments, would zero or change the count.
     out = run_fresh(
         "import json, tracer\n"
         "from plcg import chart\n"
         "from plcg.induction import induce_pcfg\n"
         "from plcg.treebank import read_trees\n"
         "model = induce_pcfg(read_trees('(S (NP DT NN) (VP VB (NP PRP)))'))\n"
+        "n_bin = chart.compile_pcfg(model).bin_lhs.shape[0]\n"
         "tr = tracer.Tracer(); tracer.install(tr)\n"
         "phase = tr.open_phase('round')\n"
         "assert chart.viterbi_parse(['DT', 'NN', 'VB', 'PRP'], model)\n"
         "tr.close_phase(phase)\n"
         "print(json.dumps({'counts': {name: v for (_, name), v in tr.counts.items()},\n"
-        "                  'spans': [tr.names[i] for i in tr.name_id]}))\n"
+        "                  'spans': [tr.names[i] for i in tr.name_id], 'n_bin': n_bin}))\n"
     )
     traced = json.loads(out)
-    assert traced["counts"]["chart.rule_span_ops"] > 0
+    n, n_bin = 4, traced["n_bin"]
+    assert n_bin == 3
+    assert traced["counts"]["chart.rule_span_ops"] == n_bin * (n ** 3 - n) // 6
     assert "chart.viterbi_fill" in traced["spans"]
 
 
