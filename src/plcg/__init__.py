@@ -59,9 +59,7 @@ from .treebank import (
     Tree,
     TreeReadError,
     UnaryMode,
-    VacuousTreeError,
     leaves,
-    preprocess,
     preprocess_corpus,
     read_trees,
     to_pos_tree,

@@ -140,8 +140,10 @@ def cmd_induce(args) -> int:
 
 
 def _read_tag_file(path: str) -> list[list[str]]:
+    # A sentence ends only at a line end: form feed, U+0085 and the other
+    # characters str.splitlines() also breaks at are spaces, as in trees.
     with open(path, encoding="utf-8-sig") as f:
-        return [line.split() for line in f.read().splitlines()]
+        return [line.split() for line in f]
 
 
 def _parse_sentence(tags: list[str], model: Model, args) -> list[tuple[Tree, float]]:

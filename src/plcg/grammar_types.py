@@ -1,10 +1,14 @@
 """Rule and model types shared across induction, parsing, and serialization.
 
-All models store the raw counts of independent events; every sum of them
-(a decision point's total, a delta model's counts per delta and its PLCG)
-and every probability is derived once, by the model's constructor, so no
-model holds a sum that disagrees with its parts.  No smoothing anywhere:
-unseen events keep probability zero.
+All models store the raw counts of independent events.  The sums that
+combine them (a PCFG's lhs totals, a decision point's attach plus
+projection total, a delta model's counts per delta and its PLCG) are
+derived once, by the model's constructor, so no model holds a sum that
+disagrees with its parts.  The other probabilities (``p_shift``,
+``projections``, ``shift_dist``, ``rule_dist``, ``delta_dist``) divide by
+their count table's sum on every call; the parser reads them only to build
+a move table, which it keeps.  No smoothing anywhere: unseen events keep
+probability zero.
 """
 
 from __future__ import annotations

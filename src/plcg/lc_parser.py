@@ -91,10 +91,6 @@ class ParserState(NamedTuple):
     moves: Optional[tuple]  # (last move, earlier moves); None when empty
     log_prob: float
 
-    @property
-    def complete(self) -> bool:
-        return not self.stack
-
 
 # Builds a ParserState without NamedTuple's Python-level __new__.
 _new = tuple.__new__
@@ -248,71 +244,57 @@ def _closure(
     offered.  Stacks live in ``stacks``.  With the next ``tag``, build only
     the states that can still shift it.
 
-    With ``keep``, hold only the ``keep`` best states per stack, the earlier
-    one on a tie: a state enters only if it beats the worst one held for its
-    stack, and a state pushed out before its turn is not expanded.  No move
-    makes an expandable stack deeper, and probabilities are at most one, so
-    a unary cycle cannot beat the state it started from: the loop ends on
-    any grammar.  With ``keep`` above 1, every complete state is held: an
-    n-best list needs them all, because a tree can have more than one
+    One loop serves every capacity per stack: ``keep`` 1 for the 1-best
+    beam, ``n_best`` for an n-best list, and None, no cap, for the
+    exhaustive parse.  A state enters only if it beats the worst one held
+    for its stack, the earlier one winning a tie; a state pushed out leaves
+    an empty slot, so one pushed out before its turn is not expanded.  No
+    move makes an expandable stack deeper, and probabilities are at most
+    one, so a unary cycle cannot beat the state it started from: with
+    ``keep`` the loop ends on any grammar.  Every complete state is held:
+    an n-best list needs them all, because a tree can have more than one
     derivation (binarized nodes, or delta's composed projection against a
-    projection and an attach).  Without ``keep`` (the exhaustive parse),
-    hold every state, and raise TooManyDerivationsError past
-    ``STATE_LIMIT`` of them, as a unary cycle always does.  Held states are
-    returned in the order they were built, complete ones last unless
-    ``keep`` is 1."""
+    projection and an attach).  Without ``keep``, raise
+    TooManyDerivationsError past ``STATE_LIMIT`` states, as a unary cycle
+    always does.  Held states are returned in the order they entered,
+    complete ones last."""
     top = stacks.top
-    held: dict = {}  # stack id -> held state, or list of them best first
-    entered: list[ParserState] = []
+    # Stack id -> the index in ``entered`` of the one state offered for it,
+    # or, once another is offered, the indices of its held states, best first.
+    held: dict = {}
+    entered: list = []  # states in entry order, None once pushed out
     complete: list[ParserState] = []
-    offered = list(states)
-    while True:
-        frontier = []
-        if keep == 1:
-            setdefault = held.setdefault
-            for st in offered:
-                old = setdefault(st.stack, st)
-                if old is not st:
-                    if st.log_prob <= old.log_prob:
-                        continue
-                    del held[st.stack]  # re-inserted last, in entry order
-                    held[st.stack] = st
-                frontier.append(st)
-        else:
-            for st in offered:
-                if not st.stack:
-                    complete.append(st)
-                    continue
-                if keep is not None:
-                    group = held.setdefault(st.stack, [])
-                    if len(group) == keep:
-                        if st.log_prob <= group[-1].log_prob:
-                            continue
-                        group.pop()
-                    i = len(group)
-                    while i and group[i - 1].log_prob < st.log_prob:
-                        i -= 1
-                    group.insert(i, st)
-                frontier.append(st)
-            entered += frontier
-            if keep is None and len(entered) + len(complete) > STATE_LIMIT:
-                raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
-        if not frontier:
-            break
-        offered = []
-        for st in frontier:
+    setdefault = held.setdefault
+    offered = states
+    while offered:
+        start = len(entered)
+        for st in offered:
             stack = st.stack
-            # By identity: equal states would compare whole derivations.
-            if stack and top[stack][0] == FOUND and (
-                    held[stack] is st if keep == 1
-                    else keep is None or any(other is st for other in held[stack])):
+            if not stack:
+                complete.append(st)
+                continue
+            n = len(entered)
+            group = setdefault(stack, n)
+            if group != n:  # offered before
+                if type(group) is int:
+                    group = held[stack] = [group]
+                lp = st.log_prob
+                if len(group) == keep:
+                    if lp <= entered[group[-1]].log_prob:
+                        continue
+                    entered[group.pop()] = None
+                i = len(group)
+                while i and entered[group[i - 1]].log_prob < lp:
+                    i -= 1
+                group.insert(i, n)
+            entered.append(st)
+        if keep is None and len(entered) + len(complete) > STATE_LIMIT:
+            raise TooManyDerivationsError("state count exceeded %d" % STATE_LIMIT)
+        offered = []
+        for st in entered[start:]:
+            if st is not None and top[st.stack][0] == FOUND:
                 offered += successors(st, model, stacks, tag)
-    if keep == 1:
-        return list(held.values())
-    if keep is None:
-        return entered + complete
-    kept = {id(st) for group in held.values() for st in group}
-    return [st for st in entered if id(st) in kept] + complete
+    return list(filter(None, entered)) + complete
 
 
 class TooManyDerivationsError(ValueError):
@@ -358,7 +340,7 @@ def _complete_states(
         if not beam:
             return []
     final = _closure(beam, model, stacks, keep=keep)
-    return sorted((st for st in final if st.complete), key=_rank)
+    return sorted((st for st in final if not st.stack), key=_rank)
 
 
 def beam_parse(

@@ -4,8 +4,8 @@ Training input is built in one pass: ``preprocess_corpus`` over text or a
 file applies the whole pipeline (function-tag stripping, empty pruning,
 unary folding, ROOT wrapping and, if asked, reduction to tags and tail
 binarization) to each node as its bracket closes, so raw and word-level
-trees are never built.  The same per-node steps serve ``preprocess`` and
-``to_pos_tree`` on trees.  The reader splits its tokens a chunk of whole
+trees are never built.  The same per-node steps serve ``preprocess_corpus``
+and ``to_pos_tree`` on trees.  The reader splits its tokens a chunk of whole
 lines at a time, and keeps one string per symbol and one leaf per word."""
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class TreeReadError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__("%s (at offset %d)" % (message, offset))
         self.offset = offset
-
-
-class VacuousTreeError(ValueError):
-    """Raised when preprocessing leaves a tree with an empty yield."""
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -411,15 +407,6 @@ def _rebuild(t: Tree, steps, names: _Labels | None):
             del done[-n:]
             done.append(value)
     return done[0]
-
-
-def preprocess(t: Tree, opts: PreprocessOptions) -> Tree:
-    """Apply the pipeline ``opts`` to one tree in one bottom-up pass.  Raises
-    VacuousTreeError when no pronounced word is left."""
-    out, dropped = preprocess_corpus([t], opts)
-    if dropped:
-        raise VacuousTreeError("tree has no pronounced words after stripping")
-    return out[0]
 
 
 def preprocess_corpus(

@@ -18,7 +18,15 @@ from plcg.derivation import derivation_events, stack_delta
 from plcg.grammar_types import NEG_INF, DeltaModel, PcfgModel, Rule
 from plcg.induction import delta_tree_log_prob, pcfg_tree_log_prob, plcg_tree_log_prob
 from plcg.transforms import debinarize_tree
-from plcg.treebank import Tree, TreeReadError, iter_local_trees, read_trees, write_tree
+from plcg.treebank import (
+    PreprocessOptions,
+    Tree,
+    TreeReadError,
+    iter_local_trees,
+    preprocess_corpus,
+    read_trees,
+    write_tree,
+)
 
 
 def read_tree(text: str) -> Tree:
@@ -27,6 +35,19 @@ def read_tree(text: str) -> Tree:
     if len(ts) != 1:
         raise TreeReadError("expected exactly one tree, found %d" % len(ts), 0)
     return ts[0]
+
+
+class VacuousTreeError(ValueError):
+    """Raised when preprocessing leaves a tree with an empty yield."""
+
+
+def preprocess(t: Tree, opts: PreprocessOptions) -> Tree:
+    """Apply the pipeline ``opts`` to one tree in one bottom-up pass.  Raises
+    VacuousTreeError when no pronounced word is left."""
+    out, dropped = preprocess_corpus([t], opts)
+    if dropped:
+        raise VacuousTreeError("tree has no pronounced words after stripping")
+    return out[0]
 
 
 class TooManyParsesError(ValueError):

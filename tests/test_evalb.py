@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import t
-from oracles import random_tree_over_yield
+from oracles import preprocess, random_tree_over_yield
 from plcg.corpus import generate_corpus
 from plcg.evalb import (
     SentenceScore,
@@ -16,7 +16,7 @@ from plcg.evalb import (
     score_corpus,
     score_pair,
 )
-from plcg.treebank import PreprocessOptions, UnaryMode, leaves, preprocess
+from plcg.treebank import PreprocessOptions, UnaryMode, leaves
 
 # Attachment-ambiguity fixtures: flat treebank style and N-bar style.
 PENN_VP = t("(VP saw (NP the man) (PP with (NP a telescope)))")

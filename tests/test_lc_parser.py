@@ -634,6 +634,26 @@ class TestRecombination:
             held = _closure(states, nested_model, stacks, keep=keep)
             assert sorted(st.moves for st in held) == sorted(marks)
 
+    @pytest.mark.parametrize("keep, expanded", [(1, [2]), (2, [1, 2]), (None, [0, 1, 2])])
+    def test_a_state_pushed_out_in_its_round_is_not_expanded(
+            self, nested_model, monkeypatch, keep, expanded):
+        # Found corners on one stack, offered worst first: with ``keep``
+        # held, each pushes the worst out before any of them expands.
+        stacks = StackTable()
+        states = [state_of(stacks, ((SOUGHT, "T"), (FOUND, "c")), i, lp)
+                  for i, lp in enumerate([-3.0, -2.0, -1.0])]
+        calls = []
+        real = lc_parser.successors
+
+        def recording(state, *args, **kwargs):
+            calls.append(state.moves)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(lc_parser, "successors", recording)
+        held = _closure(states, nested_model, stacks, keep=keep)
+        assert [mark for mark in calls if mark in (0, 1, 2)] == expanded
+        assert [st.moves for st in held if st.moves in (0, 1, 2)] == expanded
+
     def test_ties_across_stacks_go_to_the_earlier_built_state(self, nested_model):
         # X' beats X on stack A and ties Y, built before it on stack B; the
         # beam's stable sort must rank Y first.  None can expand.

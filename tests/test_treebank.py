@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from conftest import chain, t
-from oracles import random_tree, read_tree
+from oracles import VacuousTreeError, preprocess, random_tree, read_tree
 from plcg.corpus import generate_corpus
 from plcg.transforms import ReservedSymbolError, binarize_corpus
 from plcg.treebank import (
@@ -16,12 +16,10 @@ from plcg.treebank import (
     Tree,
     TreeReadError,
     UnaryMode,
-    VacuousTreeError,
     _CHUNK,
     iter_local_trees,
     leaves,
     post_order,
-    preprocess,
     preprocess_corpus,
     read_trees,
     to_pos_tree,
